@@ -23,12 +23,13 @@ use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic_nn::Tensor;
 use acoustic_runtime::{BatchEngine, PreparedModel};
 use acoustic_simfunc::{
-    HostFingerprint, KernelChoice, KernelStats, ScSimulator, SimConfig, SimScratch, DEFAULT_TILE,
+    HostFingerprint, KernelChoice, KernelStats, ScSimulator, SimConfig, SimScratch, TilePlan,
+    DEFAULT_TILE,
 };
 
 /// Autotune comparison written into the results JSON: the pre-autotune
-/// status-quo plan (widest pre-existing tier, fixed tile) vs the
-/// calibrated plan on a zoo model.
+/// status-quo plan (`TilePlan::fallback` — the resolved tier at the fixed
+/// tile) vs the calibrated plan on a zoo model.
 struct AutotunePoint {
     model: &'static str,
     stream_len: usize,
@@ -195,7 +196,8 @@ fn main() {
 
     // Engine-level kernel comparison on a small conv+dense net. Stream 128
     // keeps segments single-word (the register-accumulator path); stream 512
-    // produces 4-word segments where the AVX2 multi-word merge engages.
+    // produces 4-word segments (below the AVX-512 multi-word threshold, so
+    // `auto` runs the scalar merge there).
     // `elements` is the number of MAC lanes presented to the kernels, so
     // ns_per_elem reads as ns per lane.
     let net = bench_net();
@@ -205,7 +207,6 @@ fn main() {
     for stream_len in [128usize, 512] {
         for (tag, choice) in [
             ("scalar", KernelChoice::Scalar),
-            ("autovec", KernelChoice::Autovec),
             ("auto", KernelChoice::Auto),
         ] {
             let cfg = SimConfig {
@@ -256,9 +257,8 @@ fn main() {
     // --- prepare-time tile autotuning: fixed default plan vs calibrated ---
 
     // Zoo-model batch throughput under the pre-autotune status quo (the
-    // widest pre-existing SIMD tier at the historical fixed tile of 16)
-    // vs the calibrated (kernel, tile) plan the prepared model now
-    // carries. `elements` is the batch size, so ns_per_elem reads as ns
+    // auto-resolved tier at the historical fixed tile of 16) vs the
+    // calibrated plan the prepared model now carries. `elements` is the batch size, so ns_per_elem reads as ns
     // per image.
     let autotune = {
         let quick = std::env::args().any(|a| a == "--quick")
@@ -274,14 +274,15 @@ fn main() {
             .collect();
         let cfg = SimConfig::with_stream_len(stream_len).unwrap();
 
+        let fixed = TilePlan::fallback(KernelChoice::Auto);
         let fixed_cfg = SimConfig {
-            kernel: KernelChoice::Avx2,
+            kernel: KernelChoice::pinned(fixed.kernel),
             ..cfg
         };
         let fixed_model = PreparedModel::compile(fixed_cfg, &zoo_net).unwrap();
         let fixed_engine = BatchEngine::new(1)
             .unwrap()
-            .with_tile_size(DEFAULT_TILE)
+            .with_tile_size(fixed.tile)
             .unwrap();
 
         let prep = Instant::now();

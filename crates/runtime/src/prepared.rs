@@ -171,16 +171,15 @@ impl PreparedModel {
     /// Approximate resident size of the prepared weight banks, in bytes
     /// (see [`PreparedNetwork::approx_bytes`]). [`ModelCache`] memory
     /// budgets are enforced against this figure, which reflects the actual
-    /// allocations of the configured weight-storage layout — shared pool
-    /// words plus per-lane indices when deduplication is on, full per-lane
-    /// banks when it is not.
+    /// allocations of the weight banks — shared pool words plus per-lane
+    /// indices.
     pub fn approx_bytes(&self) -> usize {
         self.prepared.approx_bytes()
     }
 
     /// Weight-storage accounting of the prepared banks (see
     /// [`PreparedNetwork::dedup_stats`]): lanes, distinct canonical
-    /// streams, pool/index/resident bytes, and the materialized-layout
+    /// streams, pool/index/resident bytes, and the undeduplicated per-lane
     /// cost of the same shapes.
     pub fn dedup_stats(&self) -> DedupStats {
         self.prepared.dedup_stats()
@@ -674,7 +673,7 @@ impl ModelCache {
 
     /// Summed [`PreparedModel::dedup_stats`] over every resident model —
     /// the cache-wide view of how much the weight-stream pool is saving
-    /// versus materialized banks.
+    /// versus undeduplicated per-lane banks.
     pub fn dedup_totals(&self) -> DedupStats {
         let inner = self.inner.lock().expect("model cache lock poisoned");
         let mut total = DedupStats::default();

@@ -127,7 +127,7 @@ pub struct BatchReport {
     pub plan: TilePlan,
     /// Weight-storage accounting of the model the batch ran on: lanes,
     /// distinct canonical streams, pool/index/resident bytes and the
-    /// materialized-layout equivalent. A property of the prepared model,
+    /// undeduplicated per-lane equivalent. A property of the prepared model,
     /// not of the batch — constant across batches on the same model.
     pub dedup: DedupStats,
 }
@@ -247,7 +247,7 @@ mod tests {
                 tiled_images: 4,
             },
             plan: acoustic_simfunc::TilePlan {
-                kernel: acoustic_simfunc::KernelKind::Autovec,
+                kernel: acoustic_simfunc::KernelKind::Scalar,
                 tile: 32,
                 calibration_ns: 2_000_000,
             },
@@ -268,7 +268,7 @@ mod tests {
         assert!(text.contains("112.0 bits/image"));
         assert!(text.contains("40.0% skipped"));
         assert!(text.contains("4 images tiled in 1 tiles"));
-        assert!(text.contains("autovec kernel, tile 32"));
+        assert!(text.contains("scalar kernel, tile 32"));
         assert!(text.contains("100 lanes over 25 distinct streams"));
         assert!(text.contains("4.0x dedup"));
         assert_eq!(r.layer_timings[0].mean(), Duration::from_millis(1));

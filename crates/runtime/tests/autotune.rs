@@ -48,9 +48,8 @@ fn same_model_and_host_yield_same_plan() {
     // times host-supported tiers).
     let host = HostFingerprint::detect();
     let required_feature = match a.plan().kernel.name() {
-        "avx2" => Some("avx2"),
         "avx512" => Some("avx512f"),
-        _ => None, // scalar and autovec run everywhere
+        _ => None, // scalar runs everywhere
     };
     if let Some(feat) = required_feature {
         assert!(

@@ -1,21 +1,23 @@
-//! Prepare-time (kernel, tile) calibration.
+//! Prepare-time tile calibration.
 //!
 //! The best image-tile size for the tiled MAC walk depends on the model's
 //! bank geometry (fan-in, segment words, output count) and the host's
 //! cache/register budget — a fixed default leaves throughput on the table.
 //! Instead of guessing, [`calibrate`] runs a deterministic micro-benchmark
-//! at prepare time: the model's *heaviest MAC step* (its real weight banks,
-//! geometry, and storage layout — pooled indirection included) is driven
-//! through `mac_segment_tile` with synthetic activation banks for every
-//! candidate tile size × every kernel tier the host offers, and the
-//! fastest per-image plan wins.
+//! at prepare time: the model's *heaviest MAC step* (its real weight banks
+//! and geometry, pool indirection included) is driven through
+//! `mac_segment_tile` with synthetic activation banks for every candidate
+//! tile size on the resolved kernel tier, and the fastest per-image tile
+//! wins. The kernel itself is not swept: `KernelChoice::Auto` resolves to
+//! the only tier that beats the scalar reference (AVX-512) wherever the
+//! host has it.
 //!
 //! Guard rails:
 //!
-//! * The previous fixed default ([`DEFAULT_TILE`] on the auto-dispatched
-//!   kernel) is always a candidate, and a challenger must beat it by a
-//!   clear margin ([`HYSTERESIS_PCT`]) — autotune can never lose to the
-//!   status quo, and jittery ties resolve to it.
+//! * The previous fixed default ([`DEFAULT_TILE`]) is always a candidate,
+//!   and a challenger must beat it by a clear margin ([`HYSTERESIS_PCT`])
+//!   — autotune can never lose to the status quo, and jittery ties
+//!   resolve to it.
 //! * The workload is capped ([`WORD_BUDGET`]) so calibration stays a small
 //!   fraction of prepare time even for VGG-scale banks: lanes are truncated
 //!   to [`LANE_CAP`] and the output-channel walk shrinks to fit the budget.
@@ -31,9 +33,7 @@ use std::time::Instant;
 
 use crate::banks::{ActBank, LevelView};
 use crate::engine::PreparedNetwork;
-use crate::kernels::{
-    self, active_kernel, candidate_kernels, KernelKind, KernelStats, SegGeom, TileState,
-};
+use crate::kernels::{self, active_kernel, KernelKind, KernelStats, SegGeom, TileState};
 use crate::SimConfig;
 
 /// Candidate image-tile sizes swept at prepare time.
@@ -90,8 +90,8 @@ impl std::hash::Hash for TilePlan {
 }
 
 impl TilePlan {
-    /// The status-quo plan for a kernel choice: the auto-dispatched tier at
-    /// the historical fixed tile size.
+    /// The status-quo plan for a kernel choice: the resolved tier at the
+    /// historical fixed tile size.
     pub fn fallback(choice: crate::KernelChoice) -> TilePlan {
         TilePlan {
             kernel: active_kernel(choice),
@@ -104,7 +104,7 @@ impl TilePlan {
 /// The heaviest MAC step's bank shape, extracted by
 /// `PreparedNetwork::heaviest_mac`.
 pub(crate) struct MacShape<'a> {
-    /// Full-length weight bank view (real storage layout, `windex` and all).
+    /// Full-length weight bank view (pool slot indirection and all).
     pub(crate) view: LevelView<'a>,
     /// Receptive-field lanes per output.
     pub(crate) fan_in: usize,
@@ -152,7 +152,7 @@ fn synth_bank(
     bank
 }
 
-/// Times one (kernel, tile) candidate over `images` synthetic images and
+/// Times one tile candidate on `kind` over `images` synthetic images and
 /// returns its best per-image nanosecond cost (min of two passes).
 #[allow(clippy::too_many_arguments)]
 fn time_candidate(
@@ -225,38 +225,32 @@ pub(crate) fn calibrate(cfg: &SimConfig, or_group: usize, prepared: &PreparedNet
         .collect();
     let oc_cap = (WORD_BUDGET / (IMAGE_BUDGET * lanes_n * sw).max(1)).clamp(1, shape.outs);
 
-    let auto_kind = active_kernel(cfg.kernel);
+    let kernel = active_kernel(cfg.kernel);
     let mut status_quo = u128::MAX;
-    let mut best: Option<(u128, KernelKind, usize)> = None;
-    for kind in candidate_kernels(cfg.kernel) {
-        for tile in TILE_CANDIDATES {
-            let t = time_candidate(
-                kind,
-                tile,
-                &geom,
-                &banks,
-                shape.view,
-                &lanes,
-                oc_cap,
-                shape.fan_in,
-                IMAGE_BUDGET,
-            );
-            if kind == auto_kind && tile == DEFAULT_TILE {
-                status_quo = t;
-            }
-            if best.as_ref().is_none_or(|&(bt, _, _)| t < bt) {
-                best = Some((t, kind, tile));
-            }
+    let mut best: Option<(u128, usize)> = None;
+    for tile in TILE_CANDIDATES {
+        let t = time_candidate(
+            kernel,
+            tile,
+            &geom,
+            &banks,
+            shape.view,
+            &lanes,
+            oc_cap,
+            shape.fan_in,
+            IMAGE_BUDGET,
+        );
+        if tile == DEFAULT_TILE {
+            status_quo = t;
+        }
+        if best.is_none_or(|(bt, _)| t < bt) {
+            best = Some((t, tile));
         }
     }
-    let (best_ns, kernel, tile) = best.expect("at least one candidate was timed");
-    let challenger_wins = status_quo == u128::MAX
-        || best_ns.saturating_mul(100) < status_quo.saturating_mul(100 - HYSTERESIS_PCT);
-    let (kernel, tile) = if challenger_wins {
-        (kernel, tile)
-    } else {
-        (auto_kind, DEFAULT_TILE)
-    };
+    let (best_ns, tile) = best.expect("at least one candidate was timed");
+    let challenger_wins =
+        best_ns.saturating_mul(100) < status_quo.saturating_mul(100 - HYSTERESIS_PCT);
+    let tile = if challenger_wins { tile } else { DEFAULT_TILE };
     TilePlan {
         kernel,
         tile,

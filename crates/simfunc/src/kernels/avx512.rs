@@ -1,22 +1,23 @@
 //! AVX-512 MAC kernel (x86-64 with `avx512f`, runtime-dispatched).
 //!
-//! The widest tier: the merge loop runs 512 bits per step and the lockstep
-//! tile walk packs **8 images per register** — one image per 64-bit lane,
-//! with `vpcmpeqq`'s mask register giving the all-saturated early exit in a
-//! single compare. Group popcounts reuse the AVX2 Mula/Harley-Seal kernel
-//! (dispatch requires `avx512f` *and* AVX2, see
+//! The only SIMD tier: the merge loop runs 512 bits per step and the
+//! lockstep tile walk packs **8 images per register** — one image per
+//! 64-bit lane, with `vpcmpeqq`'s mask register giving the all-saturated
+//! early exit in a single compare. Group popcounts reuse the AVX2
+//! Mula/Harley-Seal kernel of `acoustic_core::bitstream` (dispatch requires
+//! `avx512f` *and* AVX2, see
 //! [`avx512_available`](acoustic_core::bitstream::x86::avx512_available)).
-//! Segments under eight words delegate to the AVX2 kernel, which in turn
-//! hands sub-4-word segments to scalar. Semantics are identical to
-//! [`scalar`]; equivalence is test-enforced.
+//! Segments under eight words and tiles under eight images delegate to the
+//! scalar kernel. Semantics are identical to [`scalar`]; equivalence is
+//! test-enforced.
 
 use acoustic_core::bitstream::x86::count_ones_words_avx2;
 
 use super::scalar::{self, is_saturated};
-use super::{avx2, KernelStats, PhaseArgs, TilePhaseArgs, TileState};
+use super::{KernelStats, PhaseArgs, TilePhaseArgs, TileState};
 
 /// Minimum words per segment before the 512-bit path pays for itself;
-/// narrower segments use the 256-bit kernel.
+/// narrower segments use the scalar kernel.
 const MIN_SIMD_WORDS: usize = 8;
 
 /// Images per 512-bit register in the lockstep tile walk.
@@ -25,7 +26,7 @@ const TILE_LANES: usize = 8;
 /// One MAC phase over one segment (see [`scalar::mac_phase`]).
 pub(crate) fn mac_phase(args: &PhaseArgs<'_>, acc: &mut [u64], stats: &mut KernelStats) -> u64 {
     if args.geom.seg_words < MIN_SIMD_WORDS {
-        return avx2::mac_phase(args, acc, stats);
+        return scalar::mac_phase(args, acc, stats);
     }
     // SAFETY: dispatch selects the AVX-512 kernel only on hosts where cpuid
     // reported avx512f + AVX2 support (`active_kernel`).
@@ -50,15 +51,15 @@ pub(crate) fn mac_phase_tile(
         return;
     }
     if geom.seg_words < MIN_SIMD_WORDS {
-        return avx2::mac_phase_tile(args, state, stats);
+        return scalar::mac_phase_tile(args, state, stats);
     }
     // SAFETY: as in `mac_phase` — avx512f presence verified at dispatch.
     unsafe { mac_phase_tile_words(args, state, stats) }
 }
 
 /// Tile-vectorized lockstep walk: 8 images per 512-bit accumulator, one
-/// masked compare per lane for the all-saturated early exit, AVX2/scalar
-/// tail for the final `tile % 8` images. Bit-identical to the scalar
+/// masked compare per lane for the all-saturated early exit, scalar tail
+/// for the final `tile % 8` images. Bit-identical to the scalar
 /// lockstep walk — AND/OR/popcount are exact in any order and gated/zero
 /// lanes hold all-zero words.
 #[target_feature(enable = "avx512f")]

@@ -20,27 +20,22 @@
 //!   per image; zero lanes still consume their OR-group slot (slot
 //!   occupancy is part of the grouped-accumulator semantics).
 //!
-//! Four dispatchable tiers implement that contract:
+//! Two dispatchable tiers implement that contract:
 //!
-//! * [`scalar`] — the portable golden reference; accumulator in a register
-//!   for single-word segments.
-//! * [`autovec`] — portable blocked loops shaped so LLVM auto-vectorizes
-//!   the `acc |= act & weight` merge on any target; the default fallback
-//!   when no x86 SIMD tier is available.
-//! * [`avx2`] — 256-bit `vpand`/`vpor` merge, Mula/Harley-Seal popcount,
-//!   4 images per register in the lockstep tile walk (x86-64 only).
+//! * [`scalar`] — the portable golden reference, running on every target;
+//!   accumulator in a register for single-word segments.
 //! * [`avx512`] — 512-bit merge packing 8 images per register in the
 //!   lockstep tile walk (x86-64 with `avx512f` only).
 //!
+//! A tier earns its place only by beating scalar on a recorded zoo
+//! measurement (EXPERIMENTS.md): the SC datapath's wins come from the
+//! OR-accumulate/skip-pooling dataflow, not from the ALU width.
+//!
 //! Tier selection happens at run time via `is_x86_feature_detected!`; an
-//! explicitly requested tier the host lacks degrades gracefully to the
-//! widest available one (never to an instruction set the host lacks).
+//! explicit AVX-512 request on a host without it resolves to scalar (never
+//! to an instruction set the host lacks).
 
-pub(crate) mod autovec;
 pub(crate) mod scalar;
-
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod avx2;
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512;
@@ -53,16 +48,14 @@ use crate::banks::{ActBank, PhaseView};
 /// [`SimConfig::kernel`](crate::SimConfig::kernel)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelChoice {
-    /// Pick the fastest kernel the host supports, detected at run time.
+    /// AVX-512 when the host has it, scalar otherwise (detected at run
+    /// time).
     #[default]
     Auto,
     /// Always use the portable scalar kernel (the golden reference).
     Scalar,
-    /// Pin the portable auto-vectorized kernel.
-    Autovec,
-    /// Request the 256-bit AVX2 kernel (degrades to autovec off-x86).
-    Avx2,
-    /// Request the 512-bit AVX-512 kernel (degrades to AVX2, then autovec).
+    /// Request the 512-bit AVX-512 kernel (resolves to scalar on hosts
+    /// without `avx512f`).
     Avx512,
 }
 
@@ -72,8 +65,6 @@ impl KernelChoice {
     pub fn pinned(kind: KernelKind) -> KernelChoice {
         match kind {
             KernelKind::Scalar => KernelChoice::Scalar,
-            KernelKind::Autovec => KernelChoice::Autovec,
-            KernelKind::Avx2 => KernelChoice::Avx2,
             KernelKind::Avx512 => KernelChoice::Avx512,
         }
     }
@@ -84,10 +75,6 @@ impl KernelChoice {
 pub enum KernelKind {
     /// Portable scalar kernel — runs everywhere, defines the semantics.
     Scalar,
-    /// Portable blocked kernel relying on LLVM auto-vectorization.
-    Autovec,
-    /// 256-bit AVX2 kernel (x86-64 only).
-    Avx2,
     /// 512-bit AVX-512 kernel (x86-64 with `avx512f` only).
     Avx512,
 }
@@ -98,18 +85,15 @@ impl KernelKind {
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
-            KernelKind::Autovec => "autovec",
-            KernelKind::Avx2 => "avx2",
             KernelKind::Avx512 => "avx512",
         }
     }
 
-    /// Stable wire code (serve stats words).
+    /// Stable wire code (serve stats words). Codes 1 and 2 belonged to
+    /// deleted tiers and stay unused so recorded codes remain comparable.
     pub fn code(self) -> u64 {
         match self {
             KernelKind::Scalar => 0,
-            KernelKind::Autovec => 1,
-            KernelKind::Avx2 => 2,
             KernelKind::Avx512 => 3,
         }
     }
@@ -118,8 +102,6 @@ impl KernelKind {
     pub fn from_code(code: u64) -> Option<KernelKind> {
         match code {
             0 => Some(KernelKind::Scalar),
-            1 => Some(KernelKind::Autovec),
-            2 => Some(KernelKind::Avx2),
             3 => Some(KernelKind::Avx512),
             _ => None,
         }
@@ -127,46 +109,22 @@ impl KernelKind {
 }
 
 /// Environment variable pinning a kernel tier regardless of the configured
-/// [`KernelChoice`]: `scalar`, `autovec`, `avx2`, or `avx512`
-/// (case-insensitive). A tier the host lacks degrades gracefully like an
-/// explicit [`KernelChoice`]; unrecognized values are ignored. Read once
-/// per process.
+/// [`KernelChoice`]: `scalar` or `avx512` (case-insensitive). `avx512` on a
+/// host without it resolves to scalar like an explicit [`KernelChoice`];
+/// unrecognized values are ignored. Read once per process.
 pub const FORCE_KERNEL_ENV: &str = "ACOUSTIC_FORCE_KERNEL";
-
-/// Legacy alias of [`FORCE_KERNEL_ENV`]: any non-empty value other than
-/// `0` forces the scalar kernel. Consulted only when `ACOUSTIC_FORCE_KERNEL`
-/// does not name a tier.
-pub const FORCE_SCALAR_ENV: &str = "ACOUSTIC_FORCE_SCALAR";
 
 /// The kernel tier forced via environment, if any; parsed once per process.
 pub fn forced_kernel() -> Option<KernelKind> {
     static FORCE: OnceLock<Option<KernelKind>> = OnceLock::new();
     *FORCE.get_or_init(|| {
-        if let Some(v) = std::env::var_os(FORCE_KERNEL_ENV) {
-            let v = v.to_string_lossy().trim().to_ascii_lowercase();
-            match v.as_str() {
-                "scalar" => return Some(KernelKind::Scalar),
-                "autovec" => return Some(KernelKind::Autovec),
-                "avx2" => return Some(KernelKind::Avx2),
-                "avx512" => return Some(KernelKind::Avx512),
-                _ => {}
-            }
+        let v = std::env::var_os(FORCE_KERNEL_ENV)?;
+        match v.to_string_lossy().trim().to_ascii_lowercase().as_str() {
+            "scalar" => Some(KernelKind::Scalar),
+            "avx512" => Some(KernelKind::Avx512),
+            _ => None,
         }
-        std::env::var_os(FORCE_SCALAR_ENV)
-            .is_some_and(|v| !v.is_empty() && v != "0")
-            .then_some(KernelKind::Scalar)
     })
-}
-
-fn avx2_detected() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        acoustic_core::bitstream::x86::avx2_available()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
 }
 
 fn avx512_detected() -> bool {
@@ -180,61 +138,20 @@ fn avx512_detected() -> bool {
     }
 }
 
-/// Degrades a requested tier to the widest one the host actually supports:
-/// AVX-512 → AVX2 → autovec. Scalar and autovec run everywhere.
-fn clamp_to_host(kind: KernelKind) -> KernelKind {
-    match kind {
-        KernelKind::Avx512 if avx512_detected() => KernelKind::Avx512,
-        KernelKind::Avx512 | KernelKind::Avx2 if avx2_detected() => KernelKind::Avx2,
-        KernelKind::Avx512 | KernelKind::Avx2 => KernelKind::Autovec,
-        other => other,
-    }
-}
-
 /// Resolves the configured kernel choice against host capabilities and the
-/// [`FORCE_KERNEL_ENV`]/[`FORCE_SCALAR_ENV`] overrides. `Auto` selects the
-/// widest SIMD tier the host supports (AVX-512 → AVX2 → autovec); explicit
-/// and forced tiers degrade the same way, so the result never names an
+/// [`FORCE_KERNEL_ENV`] override. `Auto` and `Avx512` select AVX-512 when
+/// the host supports it and scalar otherwise, so the result never names an
 /// instruction set the host lacks.
 pub fn active_kernel(choice: KernelChoice) -> KernelKind {
-    if let Some(forced) = forced_kernel() {
-        return clamp_to_host(forced);
-    }
-    let requested = match choice {
-        KernelChoice::Scalar => return KernelKind::Scalar,
-        KernelChoice::Autovec => return KernelKind::Autovec,
-        KernelChoice::Avx2 => KernelKind::Avx2,
-        KernelChoice::Avx512 => KernelKind::Avx512,
-        KernelChoice::Auto => {
-            if avx512_detected() {
-                KernelKind::Avx512
-            } else if avx2_detected() {
-                KernelKind::Avx2
-            } else {
-                return KernelKind::Autovec;
-            }
-        }
+    let wants_simd = match forced_kernel() {
+        Some(forced) => forced == KernelKind::Avx512,
+        None => choice != KernelChoice::Scalar,
     };
-    clamp_to_host(requested)
-}
-
-/// The kernel tiers the autotuner may choose between for `choice`: every
-/// host-supported SIMD-capable tier for `Auto`, exactly the resolved tier
-/// for an explicit or forced choice. Scalar stays the golden reference and
-/// is never auto-selected (the blocked autovec kernel subsumes it as the
-/// portable fallback).
-pub fn candidate_kernels(choice: KernelChoice) -> Vec<KernelKind> {
-    if forced_kernel().is_some() || choice != KernelChoice::Auto {
-        return vec![active_kernel(choice)];
+    if wants_simd && avx512_detected() {
+        KernelKind::Avx512
+    } else {
+        KernelKind::Scalar
     }
-    let mut tiers = vec![KernelKind::Autovec];
-    if avx2_detected() {
-        tiers.push(KernelKind::Avx2);
-    }
-    if avx512_detected() {
-        tiers.push(KernelKind::Avx512);
-    }
-    tiers
 }
 
 /// What the host looks like to the kernel layer: core count, the detected
@@ -257,9 +174,6 @@ impl HostFingerprint {
     /// Detects the current host (feature probes are cached per process).
     pub fn detect() -> HostFingerprint {
         let mut features = Vec::new();
-        if avx2_detected() {
-            features.push("avx2");
-        }
         if avx512_detected() {
             features.push("avx512f");
         }
@@ -364,15 +278,13 @@ pub(crate) struct PhaseArgs<'a> {
     pub act_words: &'a [u64],
     /// Per-segment zero flags of the activation bank (`seg_idx`-indexed).
     pub seg_zero: &'a [bool],
-    /// The phase's weight word bank (pool words when `windex` is set).
+    /// The layer's canonical stream words (slot-major pool level).
     pub bank_words: &'a [u64],
     /// Whether each weight has a component in this phase.
     pub present: &'a [bool],
-    /// Pooled layout's per-lane slot indices into `bank_words`; `None`
-    /// for the direct layout where lane `j` owns its own word range.
-    /// Only valid for `present` lanes — kernels must check `present`
-    /// before resolving a slot.
-    pub windex: Option<&'a [u32]>,
+    /// Per-lane slot indices into `bank_words`. Only valid for `present`
+    /// lanes — kernels must check `present` before resolving a slot.
+    pub slots: &'a [u32],
     /// Receptive-field lanes `(segment_index, weight_base)`, pre-filtered
     /// of gated activations.
     pub lanes: &'a [(usize, usize)],
@@ -383,14 +295,11 @@ pub(crate) struct PhaseArgs<'a> {
 }
 
 impl PhaseArgs<'_> {
-    /// Resolves lane `w_idx` to its word-bank slot (identity without a
-    /// pool). Callers must have checked `present[w_idx]` first.
+    /// Resolves lane `w_idx` to its pool slot. Callers must have checked
+    /// `present[w_idx]` first.
     #[inline(always)]
     pub(crate) fn w_slot(&self, w_idx: usize) -> usize {
-        match self.windex {
-            None => w_idx,
-            Some(ix) => ix[w_idx] as usize,
-        }
+        self.slots[w_idx] as usize
     }
 }
 
@@ -400,12 +309,12 @@ pub(crate) struct TilePhaseArgs<'a> {
     pub geom: &'a SegGeom,
     /// Per-image activation banks (identical layout).
     pub banks: &'a [ActBank],
-    /// The phase's weight word bank (pool words when `windex` is set).
+    /// The layer's canonical stream words (slot-major pool level).
     pub bank_words: &'a [u64],
     /// Whether each weight has a component in this phase.
     pub present: &'a [bool],
-    /// Pooled layout's per-lane slot indices; see [`PhaseArgs::windex`].
-    pub windex: Option<&'a [u32]>,
+    /// Per-lane slot indices; see [`PhaseArgs::slots`].
+    pub slots: &'a [u32],
     /// Receptive-field lanes `(activation_index, weight_base)`, *not*
     /// filtered of per-image gating (gating is applied per image inside
     /// the kernel; lanes gated in every image are dropped by the caller).
@@ -415,14 +324,11 @@ pub(crate) struct TilePhaseArgs<'a> {
 }
 
 impl TilePhaseArgs<'_> {
-    /// Resolves lane `w_idx` to its word-bank slot (identity without a
-    /// pool). Callers must have checked `present[w_idx]` first.
+    /// Resolves lane `w_idx` to its pool slot. Callers must have checked
+    /// `present[w_idx]` first.
     #[inline(always)]
     pub(crate) fn w_slot(&self, w_idx: usize) -> usize {
-        match self.windex {
-            None => w_idx,
-            Some(ix) => ix[w_idx] as usize,
-        }
+        self.slots[w_idx] as usize
     }
 }
 
@@ -467,7 +373,7 @@ pub(crate) fn mac_segment(
             seg_zero,
             bank_words: view.words,
             present: view.present,
-            windex: view.windex,
+            slots: view.slots,
             lanes,
             w_off,
             segment,
@@ -484,14 +390,9 @@ fn mac_phase(
     stats: &mut KernelStats,
 ) -> u64 {
     match kind {
-        KernelKind::Scalar => scalar::mac_phase(args, acc, stats),
-        KernelKind::Autovec => autovec::mac_phase(args, acc, stats),
-        #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2 => avx2::mac_phase(args, acc, stats),
         #[cfg(target_arch = "x86_64")]
         KernelKind::Avx512 => avx512::mac_phase(args, acc, stats),
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelKind::Avx2 | KernelKind::Avx512 => autovec::mac_phase(args, acc, stats),
+        _ => scalar::mac_phase(args, acc, stats),
     }
 }
 
@@ -520,7 +421,7 @@ pub(crate) fn mac_segment_tile(
             banks,
             bank_words: view.words,
             present: view.present,
-            windex: view.windex,
+            slots: view.slots,
             lanes,
             w_off,
             segment,
@@ -539,14 +440,9 @@ fn mac_phase_tile(
     stats: &mut KernelStats,
 ) {
     match kind {
-        KernelKind::Scalar => scalar::mac_phase_tile(args, state, stats),
-        KernelKind::Autovec => autovec::mac_phase_tile(args, state, stats),
-        #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2 => avx2::mac_phase_tile(args, state, stats),
         #[cfg(target_arch = "x86_64")]
         KernelKind::Avx512 => avx512::mac_phase_tile(args, state, stats),
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelKind::Avx2 | KernelKind::Avx512 => autovec::mac_phase_tile(args, state, stats),
+        _ => scalar::mac_phase_tile(args, state, stats),
     }
 }
 
@@ -558,71 +454,31 @@ mod tests {
     fn scalar_choice_always_resolves_scalar() {
         if forced_kernel().is_none() {
             assert_eq!(active_kernel(KernelChoice::Scalar), KernelKind::Scalar);
-            assert_eq!(active_kernel(KernelChoice::Autovec), KernelKind::Autovec);
         }
     }
 
     #[test]
     fn auto_choice_matches_host_detection() {
-        let kind = active_kernel(KernelChoice::Auto);
-        if let Some(forced) = forced_kernel() {
-            assert_eq!(kind, clamp_to_host(forced));
-        } else if avx512_detected() {
-            assert_eq!(kind, KernelKind::Avx512);
-        } else if avx2_detected() {
-            assert_eq!(kind, KernelKind::Avx2);
+        let simd = avx512_detected() && forced_kernel() != Some(KernelKind::Scalar);
+        let expected = if simd {
+            KernelKind::Avx512
         } else {
-            assert_eq!(kind, KernelKind::Autovec);
-        }
-    }
-
-    #[test]
-    fn explicit_tiers_degrade_to_supported_ones() {
-        if forced_kernel().is_some() {
-            return; // resolution is pinned; covered by the subprocess tests
-        }
-        let from_512 = active_kernel(KernelChoice::Avx512);
-        let from_256 = active_kernel(KernelChoice::Avx2);
-        match (avx512_detected(), avx2_detected()) {
-            (true, _) => assert_eq!(from_512, KernelKind::Avx512),
-            (false, true) => assert_eq!(from_512, KernelKind::Avx2),
-            (false, false) => assert_eq!(from_512, KernelKind::Autovec),
-        }
-        if avx2_detected() {
-            assert_eq!(from_256, KernelKind::Avx2);
-        } else {
-            assert_eq!(from_256, KernelKind::Autovec);
-        }
-    }
-
-    #[test]
-    fn candidate_kernels_match_host_tiers() {
-        let tiers = candidate_kernels(KernelChoice::Auto);
-        if forced_kernel().is_some() {
-            assert_eq!(tiers, vec![active_kernel(KernelChoice::Auto)]);
-        } else {
-            assert_eq!(tiers[0], KernelKind::Autovec);
-            assert_eq!(tiers.contains(&KernelKind::Avx2), avx2_detected());
-            assert_eq!(tiers.contains(&KernelKind::Avx512), avx512_detected());
-            assert!(!tiers.contains(&KernelKind::Scalar));
-            assert_eq!(
-                candidate_kernels(KernelChoice::Scalar),
-                vec![KernelKind::Scalar]
-            );
-        }
+            KernelKind::Scalar
+        };
+        assert_eq!(active_kernel(KernelChoice::Auto), expected);
+        assert_eq!(active_kernel(KernelChoice::Avx512), expected);
     }
 
     #[test]
     fn kernel_codes_roundtrip() {
-        for kind in [
-            KernelKind::Scalar,
-            KernelKind::Autovec,
-            KernelKind::Avx2,
-            KernelKind::Avx512,
-        ] {
+        for kind in [KernelKind::Scalar, KernelKind::Avx512] {
             assert_eq!(KernelKind::from_code(kind.code()), Some(kind));
         }
-        assert_eq!(KernelKind::from_code(99), None);
+        assert_eq!(KernelKind::Scalar.code(), 0);
+        assert_eq!(KernelKind::Avx512.code(), 3);
+        for unused in [1, 2, 99] {
+            assert_eq!(KernelKind::from_code(unused), None);
+        }
         assert_eq!(
             KernelChoice::pinned(KernelKind::Avx512),
             KernelChoice::Avx512

@@ -188,8 +188,8 @@ fn mac_phase_tile_word_single(
     mac_phase_tile_word_single_from(args, state, stats, 0);
 }
 
-/// The scalar lockstep walk over images `start..tile` (the AVX2 kernel uses
-/// it for the sub-4-image tail of a tile).
+/// The scalar lockstep walk over images `start..tile` (the AVX-512 kernel
+/// uses it for the sub-8-image tail of a tile).
 pub(super) fn mac_phase_tile_word_single_from(
     args: &TilePhaseArgs<'_>,
     state: &mut TileState<'_>,

@@ -52,31 +52,11 @@ pub use engine::{
 };
 pub use expected::{expected_accuracy, expected_logits};
 pub use kernels::{
-    active_kernel, candidate_kernels, forced_kernel, HostFingerprint, KernelChoice, KernelKind,
-    KernelStats, FORCE_KERNEL_ENV, FORCE_SCALAR_ENV,
+    active_kernel, forced_kernel, HostFingerprint, KernelChoice, KernelKind, KernelStats,
+    FORCE_KERNEL_ENV,
 };
 pub use pool::{SharedPoolStats, SharedStreamPool};
 pub use sim_error::SimError;
-
-/// Weight-bank storage layout of a prepared network.
-///
-/// ACOUSTIC's 8-bit quantized weights take at most a few hundred distinct
-/// values, and each SNG stream is a pure function of its (mixed seed,
-/// quantized threshold) — so the pooled layout stores one canonical
-/// stream per distinct pair and gives every lane a compact `u32` index
-/// into the shared pool. Logits are bit-identical between layouts
-/// (test-enforced); only memory and cache behaviour differ, which is why
-/// this is a [`SimConfig`] axis rather than always-on: the materialized
-/// layout remains as the accounting baseline and an A/B lever.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum WeightStorage {
-    /// Deduplicated shared stream pool + per-lane indices (the default).
-    #[default]
-    Pooled,
-    /// One full stream per (lane, segment), as the hardware's per-lane
-    /// SNG view and the seed-state code laid it out.
-    Materialized,
-}
 
 /// Configuration of a stochastic functional simulation.
 ///
@@ -113,12 +93,8 @@ pub struct SimConfig {
     /// MAC kernel preference. [`KernelChoice::Auto`] (the default) picks the
     /// fastest kernel the host supports at run time; every kernel is
     /// bit-identical, so this never changes results. The
-    /// [`FORCE_SCALAR_ENV`] environment variable overrides any choice.
+    /// [`FORCE_KERNEL_ENV`] environment variable overrides any choice.
     pub kernel: KernelChoice,
-    /// Weight-bank storage layout. Both layouts produce bit-identical
-    /// logits; [`WeightStorage::Pooled`] (the default) deduplicates
-    /// streams so ImageNet-scale prepares fit in memory.
-    pub weight_storage: WeightStorage,
 }
 
 impl SimConfig {
@@ -143,7 +119,6 @@ impl SimConfig {
             shared_act_rng: false,
             regenerate_streams: true,
             kernel: KernelChoice::Auto,
-            weight_storage: WeightStorage::default(),
         })
     }
 

@@ -15,7 +15,7 @@ use acoustic_core::{Bitstream, Lfsr};
 use acoustic_nn::fixedpoint::Quantizer;
 use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic_nn::Tensor;
-use acoustic_simfunc::{ScSimulator, SimConfig, SimScratch, WeightStorage};
+use acoustic_simfunc::{ScSimulator, SimConfig, SimScratch};
 
 /// Copy of the engine's private seed mixer — the reference must draw the
 /// exact same LFSR seedings as the production path.
@@ -378,36 +378,32 @@ fn fused_path_matches_reference_across_config_matrix() {
         for skip_pooling in [true, false] {
             for shared_act_rng in [true, false] {
                 for regenerate_streams in [true, false] {
-                    for weight_storage in [WeightStorage::Pooled, WeightStorage::Materialized] {
-                        let cfg = SimConfig {
-                            or_group,
-                            skip_pooling,
-                            shared_act_rng,
-                            regenerate_streams,
-                            weight_storage,
-                            ..SimConfig::with_stream_len(128).unwrap()
-                        };
-                        let sim = ScSimulator::new(cfg);
-                        let prepared = sim.prepare(&net).unwrap();
-                        let got = sim
-                            .run_prepared_with(&prepared, &input, &mut scratch)
-                            .unwrap();
-                        let want = ref_logits(&cfg, &w, &input);
-                        assert_eq!(
-                            got.as_slice(),
-                            want.as_slice(),
-                            "logits diverge for or_group={or_group:?} \
-                             skip_pooling={skip_pooling} shared_act_rng={shared_act_rng} \
-                             regenerate_streams={regenerate_streams} \
-                             weight_storage={weight_storage:?}"
-                        );
-                        checked += 1;
-                    }
+                    let cfg = SimConfig {
+                        or_group,
+                        skip_pooling,
+                        shared_act_rng,
+                        regenerate_streams,
+                        ..SimConfig::with_stream_len(128).unwrap()
+                    };
+                    let sim = ScSimulator::new(cfg);
+                    let prepared = sim.prepare(&net).unwrap();
+                    let got = sim
+                        .run_prepared_with(&prepared, &input, &mut scratch)
+                        .unwrap();
+                    let want = ref_logits(&cfg, &w, &input);
+                    assert_eq!(
+                        got.as_slice(),
+                        want.as_slice(),
+                        "logits diverge for or_group={or_group:?} \
+                         skip_pooling={skip_pooling} shared_act_rng={shared_act_rng} \
+                         regenerate_streams={regenerate_streams}"
+                    );
+                    checked += 1;
                 }
             }
         }
     }
-    assert_eq!(checked, 32);
+    assert_eq!(checked, 16);
 }
 
 #[test]
@@ -443,20 +439,13 @@ fn stream_length_tail_words_stay_exact() {
     let net = build_net(&w);
     let input = test_input();
     for stream in [192usize, 320] {
-        for weight_storage in [WeightStorage::Pooled, WeightStorage::Materialized] {
-            let cfg = SimConfig {
-                or_group: Some(5),
-                weight_storage,
-                ..SimConfig::with_stream_len(stream).unwrap()
-            };
-            let sim = ScSimulator::new(cfg);
-            let got = sim.run(&net, &input).unwrap();
-            let want = ref_logits(&cfg, &w, &input);
-            assert_eq!(
-                got.as_slice(),
-                want.as_slice(),
-                "stream {stream} storage {weight_storage:?}"
-            );
-        }
+        let cfg = SimConfig {
+            or_group: Some(5),
+            ..SimConfig::with_stream_len(stream).unwrap()
+        };
+        let sim = ScSimulator::new(cfg);
+        let got = sim.run(&net, &input).unwrap();
+        let want = ref_logits(&cfg, &w, &input);
+        assert_eq!(got.as_slice(), want.as_slice(), "stream {stream}");
     }
 }

@@ -3,27 +3,25 @@
 //!
 //! Three axes are exercised against the portable scalar reference:
 //!
-//! * **Kernel** — `KernelChoice::Auto` (the widest SIMD tier the host has)
-//!   and every explicit tier (`Autovec`/`Avx2`/`Avx512`, clamped to host
-//!   support) vs `KernelChoice::Scalar`, across seeds, OR-group widths,
-//!   datapath variants, both weight-storage layouts, and stream lengths
-//!   spanning single-word up to 8-word segments (the AVX-512 multi-word
-//!   threshold).
+//! * **Kernel** — `KernelChoice::Auto` (AVX-512 where the host has it) and
+//!   the explicit `Avx512` tier (scalar on hosts without it) vs
+//!   `KernelChoice::Scalar`, across seeds, OR-group widths, datapath
+//!   variants, and stream lengths spanning single-word up to 8-word
+//!   segments (the AVX-512 multi-word threshold).
 //! * **Tiling** — `run_prepared_tile*` for tile sizes up to 16 (past the
-//!   4-image AVX2 and 8-image AVX-512 lockstep block widths) vs the solo
-//!   per-image path, for every kernel choice, including an all-zero image
-//!   (every lane gated) and a shortened stream-length prefix.
-//! * **Override** — the `ACOUSTIC_FORCE_KERNEL` environment variable (and
-//!   its legacy `ACOUSTIC_FORCE_SCALAR` alias), which must pin dispatch to
-//!   the named tier, degrade gracefully on hosts lacking it, and still
-//!   produce scalar-identical logits (checked in subprocesses: the
-//!   variables are read once per process).
+//!   8-image AVX-512 lockstep block width) vs the solo per-image path, for
+//!   every kernel choice, including an all-zero image (every lane gated)
+//!   and a shortened stream-length prefix.
+//! * **Override** — the `ACOUSTIC_FORCE_KERNEL` environment variable,
+//!   which must pin dispatch to the named tier, fall back to scalar on
+//!   hosts lacking it, and still produce scalar-identical logits (checked
+//!   in subprocesses: the variable is read once per process).
 
 use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic_nn::Tensor;
 use acoustic_simfunc::{
     active_kernel, forced_kernel, HostFingerprint, KernelChoice, KernelKind, ScSimulator,
-    SimConfig, SimScratch, WeightStorage, FORCE_KERNEL_ENV, FORCE_SCALAR_ENV,
+    SimConfig, SimScratch, FORCE_KERNEL_ENV,
 };
 
 /// Small conv+pool+dense net with mixed-sign, partly-zero weights.
@@ -75,10 +73,9 @@ fn cfg(stream_len: usize, kernel: KernelChoice) -> SimConfig {
     }
 }
 
-/// `Auto` dispatch (AVX2 on capable hosts) is bit-identical to the scalar
-/// reference across seeds, OR-group widths, datapath variants, and stream
-/// lengths from single-word up to 4-word segments (the AVX2 multi-word
-/// threshold).
+/// `Auto` dispatch (AVX-512 on capable hosts) is bit-identical to the
+/// scalar reference across seeds, OR-group widths, datapath variants, and
+/// stream lengths from single-word up to multi-word segments.
 #[test]
 fn auto_kernel_matches_scalar_across_config_matrix() {
     let net = build_net();
@@ -90,95 +87,83 @@ fn auto_kernel_matches_scalar_across_config_matrix() {
             for skip_pooling in [true, false] {
                 for shared_act_rng in [true, false] {
                     for stream_len in [64, 128, 192, 320, 512] {
-                        for weight_storage in [WeightStorage::Pooled, WeightStorage::Materialized] {
-                            let base = SimConfig {
-                                act_seed,
-                                wgt_seed,
-                                or_group,
-                                skip_pooling,
-                                shared_act_rng,
-                                weight_storage,
-                                ..cfg(stream_len, KernelChoice::Scalar)
-                            };
-                            let scalar_sim = ScSimulator::new(base);
-                            let auto_sim = ScSimulator::new(SimConfig {
-                                kernel: KernelChoice::Auto,
-                                ..base
-                            });
-                            let prepared = scalar_sim.prepare(&net).unwrap();
-                            let want = scalar_sim
-                                .run_prepared_with(&prepared, input, &mut scratch)
-                                .unwrap();
-                            let got = auto_sim
-                                .run_prepared_with(&prepared, input, &mut scratch)
-                                .unwrap();
-                            assert_eq!(
-                                got.as_slice(),
-                                want.as_slice(),
-                                "auto kernel diverged: act_seed={act_seed:#x} \
-                                 or_group={or_group:?} skip_pooling={skip_pooling} \
-                                 shared_act_rng={shared_act_rng} stream_len={stream_len} \
-                                 weight_storage={weight_storage:?}"
-                            );
-                            checked += 1;
-                        }
+                        let base = SimConfig {
+                            act_seed,
+                            wgt_seed,
+                            or_group,
+                            skip_pooling,
+                            shared_act_rng,
+                            ..cfg(stream_len, KernelChoice::Scalar)
+                        };
+                        let scalar_sim = ScSimulator::new(base);
+                        let auto_sim = ScSimulator::new(SimConfig {
+                            kernel: KernelChoice::Auto,
+                            ..base
+                        });
+                        let prepared = scalar_sim.prepare(&net).unwrap();
+                        let want = scalar_sim
+                            .run_prepared_with(&prepared, input, &mut scratch)
+                            .unwrap();
+                        let got = auto_sim
+                            .run_prepared_with(&prepared, input, &mut scratch)
+                            .unwrap();
+                        assert_eq!(
+                            got.as_slice(),
+                            want.as_slice(),
+                            "auto kernel diverged: act_seed={act_seed:#x} \
+                             or_group={or_group:?} skip_pooling={skip_pooling} \
+                             shared_act_rng={shared_act_rng} stream_len={stream_len}"
+                        );
+                        checked += 1;
                     }
                 }
             }
         }
     }
-    assert_eq!(checked, 160);
+    assert_eq!(checked, 80);
 }
 
-/// Every explicit kernel tier (clamped to whatever the host supports) is
-/// bit-identical to the scalar reference on the solo path, across stream
-/// lengths from single-word segments up to 8-word segments — the AVX-512
-/// multi-word threshold, reached by the dense layer at a total stream
-/// length of 1024 — and both weight-storage layouts.
+/// The explicit AVX-512 tier (scalar on hosts without it) is bit-identical
+/// to the scalar reference on the solo path, across stream lengths from
+/// single-word segments up to 8-word segments — the AVX-512 multi-word
+/// threshold, reached by the dense layer at a total stream length of 1024.
 #[test]
-fn every_explicit_tier_matches_scalar_across_lengths_and_storage() {
+fn avx512_tier_matches_scalar_across_lengths() {
     let net = build_net();
     let input = &test_inputs(1)[0];
     let mut scratch = SimScratch::default();
     for or_group in [None, Some(3)] {
         for stream_len in [64, 256, 1024] {
-            for weight_storage in [WeightStorage::Pooled, WeightStorage::Materialized] {
-                let base = SimConfig {
-                    or_group,
-                    weight_storage,
-                    ..cfg(stream_len, KernelChoice::Scalar)
-                };
-                let scalar_sim = ScSimulator::new(base);
-                let prepared = scalar_sim.prepare(&net).unwrap();
-                let want = scalar_sim
-                    .run_prepared_with(&prepared, input, &mut scratch)
-                    .unwrap();
-                for kernel in [
-                    KernelChoice::Autovec,
-                    KernelChoice::Avx2,
-                    KernelChoice::Avx512,
-                ] {
-                    let got = ScSimulator::new(SimConfig { kernel, ..base })
-                        .run_prepared_with(&prepared, input, &mut scratch)
-                        .unwrap();
-                    assert_eq!(
-                        got.as_slice(),
-                        want.as_slice(),
-                        "tier diverged: kernel={kernel:?} (resolved {:?}) \
-                         or_group={or_group:?} stream_len={stream_len} \
-                         weight_storage={weight_storage:?}",
-                        active_kernel(kernel)
-                    );
-                }
-            }
+            let base = SimConfig {
+                or_group,
+                ..cfg(stream_len, KernelChoice::Scalar)
+            };
+            let scalar_sim = ScSimulator::new(base);
+            let prepared = scalar_sim.prepare(&net).unwrap();
+            let want = scalar_sim
+                .run_prepared_with(&prepared, input, &mut scratch)
+                .unwrap();
+            let got = ScSimulator::new(SimConfig {
+                kernel: KernelChoice::Avx512,
+                ..base
+            })
+            .run_prepared_with(&prepared, input, &mut scratch)
+            .unwrap();
+            assert_eq!(
+                got.as_slice(),
+                want.as_slice(),
+                "avx512 tier (resolved {:?}) diverged: or_group={or_group:?} \
+                 stream_len={stream_len}",
+                active_kernel(KernelChoice::Avx512)
+            );
         }
     }
 }
 
 /// Tiled execution is bit-identical to the solo path for every tile size
 /// and every kernel choice — including an all-zero image whose lanes are
-/// all gated, and tile sizes past the 4-image AVX2 and 8-image AVX-512
-/// lockstep block widths (so block + tail paths both run).
+/// all gated, and tile sizes past the 8-image AVX-512 lockstep block width
+/// (so block + tail paths both run).
 #[test]
 fn tiled_matches_solo_across_tile_sizes_and_kernels() {
     let net = build_net();
@@ -188,8 +173,6 @@ fn tiled_matches_solo_across_tile_sizes_and_kernels() {
     let mut scratch = SimScratch::default();
     for kernel in [
         KernelChoice::Scalar,
-        KernelChoice::Autovec,
-        KernelChoice::Avx2,
         KernelChoice::Avx512,
         KernelChoice::Auto,
     ] {
@@ -262,99 +245,20 @@ fn tiled_prefix_matches_solo_prefix() {
     }
 }
 
-/// Child body for [`force_scalar_env_pins_auto_dispatch`]; only meaningful
-/// with `ACOUSTIC_FORCE_SCALAR=1` in the environment, hence ignored in
-/// normal runs.
-#[test]
-#[ignore = "spawned as a subprocess by force_scalar_env_pins_auto_dispatch"]
-fn forced_scalar_child() {
-    assert_eq!(
-        std::env::var(FORCE_SCALAR_ENV).as_deref(),
-        Ok("1"),
-        "child must run with the override set"
-    );
-    assert_eq!(active_kernel(KernelChoice::Auto), KernelKind::Scalar);
-    // And the forced dispatch still computes correct (scalar-identical)
-    // logits through both the solo and tiled paths.
-    let net = build_net();
-    let inputs = test_inputs(4);
-    let seeds = [3u32, 4, 5, 6];
-    let mut scratch = SimScratch::default();
-    let base = cfg(128, KernelChoice::Auto);
-    let sim = ScSimulator::new(base);
-    let prepared = sim.prepare(&net).unwrap();
-    let refs: Vec<&Tensor> = inputs.iter().collect();
-    let tiled = sim
-        .run_prepared_tile_with(&prepared, &refs, &seeds, &mut scratch)
-        .unwrap();
-    for (i, (x, &s)) in inputs.iter().zip(&seeds).enumerate() {
-        let solo = ScSimulator::new(SimConfig {
-            act_seed: s,
-            ..base
-        })
-        .run_prepared_with(&prepared, x, &mut scratch)
-        .unwrap();
-        assert_eq!(tiled[i].as_slice(), solo.as_slice(), "image {i}");
-    }
-    // Under forced-scalar dispatch, pooled and materialized weight banks
-    // must still agree bit for bit — the indirection read path of the
-    // scalar kernel is only reachable with the override set when AVX2
-    // would otherwise win dispatch.
-    let mat_sim = ScSimulator::new(SimConfig {
-        weight_storage: WeightStorage::Materialized,
-        ..base
-    });
-    let mat_prepared = mat_sim.prepare(&net).unwrap();
-    for (i, x) in inputs.iter().enumerate() {
-        let pooled = sim.run_prepared_with(&prepared, x, &mut scratch).unwrap();
-        let materialized = mat_sim
-            .run_prepared_with(&mat_prepared, x, &mut scratch)
-            .unwrap();
-        assert_eq!(
-            pooled.as_slice(),
-            materialized.as_slice(),
-            "forced-scalar pooled vs materialized diverged at image {i}"
-        );
-    }
-}
-
-/// The `ACOUSTIC_FORCE_SCALAR` override is read once per process, so the
-/// assertion runs in a subprocess with the variable set.
-#[test]
-fn force_scalar_env_pins_auto_dispatch() {
-    let exe = std::env::current_exe().unwrap();
-    let out = std::process::Command::new(exe)
-        .args(["--exact", "forced_scalar_child", "--ignored", "--nocapture"])
-        .env(FORCE_SCALAR_ENV, "1")
-        // The new variable outranks the legacy alias; shed any inherited
-        // value (e.g. from the forced-autovec CI job) so the alias is what
-        // gets exercised.
-        .env_remove(FORCE_KERNEL_ENV)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "forced-scalar child failed:\n{}\n{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
-/// What a forced tier must degrade to on this host: AVX-512 → AVX2 →
-/// autovec, keyed off the detected feature set (mirrors the dispatch
-/// layer's clamp, recomputed independently here).
-fn expected_clamp(forced: KernelKind, features: &[&str]) -> KernelKind {
-    match forced {
-        KernelKind::Avx512 if features.contains(&"avx512f") => KernelKind::Avx512,
-        KernelKind::Avx512 | KernelKind::Avx2 if features.contains(&"avx2") => KernelKind::Avx2,
-        KernelKind::Avx512 | KernelKind::Avx2 => KernelKind::Autovec,
-        other => other,
+/// What a forced tier resolves to on this host: AVX-512 when the host has
+/// `avx512f`, scalar otherwise (mirrors the dispatch layer, recomputed
+/// independently from the detected feature set).
+fn expected_resolution(forced: KernelKind, features: &[&str]) -> KernelKind {
+    if forced == KernelKind::Avx512 && features.contains(&"avx512f") {
+        KernelKind::Avx512
+    } else {
+        KernelKind::Scalar
     }
 }
 
 /// Child body for [`force_kernel_env_pins_each_tier`]: asserts the
 /// `ACOUSTIC_FORCE_KERNEL` override pins dispatch to the named tier
-/// (degraded gracefully when the host lacks it), then prints the logits of
+/// (scalar when the host lacks it), then prints the logits of
 /// two images so the parent can compare tiers bit-for-bit across
 /// processes. Ignored in normal runs — only meaningful with the override
 /// set.
@@ -363,9 +267,9 @@ fn expected_clamp(forced: KernelKind, features: &[&str]) -> KernelKind {
 fn forced_kernel_child() {
     let forced = forced_kernel().expect("child must run with ACOUSTIC_FORCE_KERNEL set");
     let host = HostFingerprint::detect();
-    let expected = expected_clamp(forced, &host.features);
+    let expected = expected_resolution(forced, &host.features);
     // Every choice — even an explicit different tier — resolves to the
-    // (clamped) forced tier, and never to an unsupported instruction set.
+    // forced tier, and never to an unsupported instruction set.
     for choice in [
         KernelChoice::Auto,
         KernelChoice::Scalar,
@@ -374,7 +278,7 @@ fn forced_kernel_child() {
         assert_eq!(
             active_kernel(choice),
             expected,
-            "forced {forced:?} must pin {choice:?} dispatch to the clamped tier"
+            "forced {forced:?} must pin {choice:?} dispatch to the resolved tier"
         );
     }
     assert_eq!(
@@ -399,7 +303,7 @@ fn forced_kernel_child() {
 }
 
 /// Forcing each tier by name through `ACOUSTIC_FORCE_KERNEL` (read once
-/// per process, hence subprocesses) pins dispatch, degrades gracefully on
+/// per process, hence subprocesses) pins dispatch, falls back to scalar on
 /// hosts lacking the tier — forcing `avx512` everywhere is safe — and
 /// every forced tier produces logits bit-identical to the in-process
 /// scalar reference.
@@ -430,11 +334,10 @@ fn force_kernel_env_pins_each_tier() {
         })
         .collect();
 
-    for tier in ["scalar", "autovec", "avx2", "avx512"] {
+    for tier in ["scalar", "avx512"] {
         let out = std::process::Command::new(&exe)
             .args(["--exact", "forced_kernel_child", "--ignored", "--nocapture"])
             .env(FORCE_KERNEL_ENV, tier)
-            .env_remove(FORCE_SCALAR_ENV)
             .output()
             .unwrap();
         let stdout = String::from_utf8_lossy(&out.stdout);
