@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the stochastic-computing kernels behind E1–E4:
 //! stream generation, AND/OR MAC, wide accumulation, and skipped pooling —
 //! plus the fused word-level kernels of the zero-allocation MAC rewrite
-//! (fused `acc |= a & w`, single-pass SNG bank fill, and a full
-//! `mac_segment`-shaped proxy reporting ns per MAC lane).
+//! (fused `acc |= a & w`, single-pass SNG bank fill, and a one-image
+//! MAC-segment proxy reporting ns per MAC lane).
 //!
 //! Runs on the repo's built-in harness (`acoustic_bench::harness`) — the
 //! offline build has no criterion. Pass `--quick` for a short CI run.
@@ -156,7 +156,7 @@ fn main() {
         );
     }
 
-    // A mac_segment-shaped proxy: word-fused AND-OR over borrowed lane
+    // A one-image MAC-segment proxy: word-fused AND-OR over borrowed lane
     // views with 96-grouped counter hand-off — `elements` is MAC lanes, so
     // the JSON's ns_per_elem column reads as ns/MAC.
     for fan_in in [96usize, 2304] {
@@ -194,10 +194,12 @@ fn main() {
 
     // --- arch-aware dispatch: SIMD vs scalar, and image tiling -------------
 
-    // Engine-level kernel comparison on a small conv+dense net. Stream 128
-    // keeps segments single-word (the register-accumulator path); stream 512
-    // produces 4-word segments (below the AVX-512 multi-word threshold, so
-    // `auto` runs the scalar merge there).
+    // Engine-level kernel comparison on a small conv+dense net, one image
+    // per call: `run_prepared_with` runs a tile of one, so this is the
+    // single-image (serving) latency of each tier. Stream 128 keeps
+    // segments single-word (the register-accumulator lockstep path);
+    // stream 512 gives the dense layer 4-word segments (below the AVX-512
+    // multi-word threshold, so `auto` runs the scalar merge there).
     // `elements` is the number of MAC lanes presented to the kernels, so
     // ns_per_elem reads as ns per lane.
     let net = bench_net();
@@ -233,11 +235,12 @@ fn main() {
 
     // Image-tiling sweep: one weight-bank walk shared by `tile` images.
     // `elements` is the tile width, so ns_per_elem reads as ns per image.
+    // A tile of one is `simd_vs_scalar/auto_128` above.
     {
         let cfg = SimConfig::with_stream_len(128).unwrap();
         let sim = ScSimulator::new(cfg);
         let prepared = sim.prepare(&net).unwrap();
-        for tile in [1usize, 2, 4, 8, 16] {
+        for tile in [2usize, 4, 8, 16] {
             let images: Vec<Tensor> = (0..tile).map(bench_image).collect();
             let refs: Vec<&Tensor> = images.iter().collect();
             let seeds: Vec<u32> = (0..tile as u32).map(|i| 0xACE1 + i).collect();

@@ -143,13 +143,13 @@ impl BatchEngine {
     /// Pins how many images share one weight-bank walk on the fixed-length
     /// paths ([`BatchEngine::run`], [`BatchEngine::evaluate`], and tileable
     /// [`BatchEngine::run_ready`] requests), overriding each model's
-    /// autotuned [`TilePlan`](acoustic_simfunc::TilePlan). `1` disables
-    /// tiling.
+    /// autotuned [`TilePlan`](acoustic_simfunc::TilePlan). `1` runs
+    /// every image as a tile of one.
     ///
-    /// Tiling never affects results: tiled execution is bit-identical to
-    /// running every image solo at its own seed index (the kernel layer's
-    /// tiling invariant), so this knob trades nothing but memory for
-    /// weight-stream locality.
+    /// Tiling never affects results: every tile size is bit-identical to
+    /// tiles of one at the same seed indices (the kernel layer's tiling
+    /// invariant), so this knob trades nothing but memory for weight-stream
+    /// locality.
     ///
     /// # Errors
     ///
@@ -216,7 +216,8 @@ impl BatchEngine {
     /// `(model.config().act_seed, i)`, so the returned logits are
     /// bit-identical for any worker count — and, on the fixed-length path,
     /// for any tile size (tiles are formed from consecutive input indices
-    /// before dispatch, and tiled execution is bit-identical to solo).
+    /// before dispatch, and every tile size is bit-identical to tiles of
+    /// one).
     ///
     /// # Errors
     ///
@@ -226,18 +227,24 @@ impl BatchEngine {
         model: &PreparedModel,
         inputs: &[Tensor],
     ) -> Result<Vec<Tensor>, RuntimeError> {
+        let tally = TileTally::default();
         match self.exit_policy {
             Some(policy) => {
                 let (pairs, _, _) = self.dispatch(model, inputs.len(), |i, scratch| {
-                    model.logits_adaptive_with(&policy, i as u64, &inputs[i], scratch)
+                    run_adaptive(model, &policy, i as u64, &inputs[i], scratch, &tally, None)
                 })?;
                 Ok(pairs.into_iter().map(|(logits, _)| logits).collect())
             }
             None => {
+                let full_len = model.max_stream_len();
                 let tiles = consecutive_tiles(inputs.len(), self.effective_tile(model));
                 let (per_tile, _, _) = self.dispatch(model, tiles.len(), |ti, scratch| {
                     let (lo, hi) = tiles[ti];
-                    Ok(run_tile_or_solo(model, inputs, lo, hi, scratch, None))
+                    let idxs: Vec<u64> = (lo..hi).map(|i| i as u64).collect();
+                    let refs: Vec<&Tensor> = inputs[lo..hi].iter().collect();
+                    Ok(run_tile(
+                        model, &idxs, &refs, full_len, scratch, &tally, None,
+                    ))
                 })?;
                 let mut out = Vec::with_capacity(inputs.len());
                 for (ti, results) in per_tile.into_iter().enumerate() {
@@ -292,11 +299,11 @@ impl BatchEngine {
     ///
     /// Fixed-length requests (no margin override and, when an engine policy
     /// is attached, a `stream_len` override) are grouped by effective
-    /// stream length and executed through the tiled MAC path; adaptive
-    /// requests always run solo. Grouping happens deterministically before
-    /// dispatch, so outcomes stay invariant to worker count *and* tile
-    /// size. A tile whose execution fails falls back to solo per-request
-    /// runs, preserving per-request error isolation.
+    /// stream length and executed as tiles; adaptive requests escalate
+    /// through prefixes as tiles of one. Grouping happens deterministically
+    /// before dispatch, so outcomes stay invariant to worker count *and*
+    /// tile size. A tile whose execution fails re-runs each member as a
+    /// tile of one, preserving per-request error isolation.
     ///
     /// # Errors
     ///
@@ -321,83 +328,42 @@ impl BatchEngine {
                 }
             }
         }
-        let policy = self.exit_policy;
-        let full_len = model.max_stream_len();
-        let units = ready_units(requests, &policy, self.effective_tile(model));
+        let units = ready_units(
+            requests,
+            &self.exit_policy,
+            model.max_stream_len(),
+            self.effective_tile(model),
+        );
         let tally = TileTally::default();
-
-        // One solo request, exactly as the pre-tiling engine ran it.
-        let solo = |i: usize, scratch: &mut SimScratch| {
-            let r = &requests[i];
-            if let Some(margin) = r.margin {
-                let p = ExitPolicy {
-                    margin,
-                    ..policy.unwrap_or(MARGIN_OVERRIDE_TEMPLATE)
-                };
-                model
-                    .logits_adaptive_with(&p, r.image_index, r.input, scratch)
-                    .map(|(logits, len)| ReadyOutcome {
-                        logits,
-                        effective_len: len,
-                    })
-            } else if let Some(len) = r.stream_len {
-                model
-                    .logits_at_with(r.image_index, r.input, len, scratch)
-                    .map(|logits| ReadyOutcome {
-                        logits,
-                        effective_len: len,
-                    })
-            } else if let Some(p) = &policy {
-                model
-                    .logits_adaptive_with(p, r.image_index, r.input, scratch)
-                    .map(|(logits, len)| ReadyOutcome {
-                        logits,
-                        effective_len: len,
-                    })
-            } else {
-                model
-                    .logits_with(r.image_index, r.input, scratch)
-                    .map(|logits| ReadyOutcome {
-                        logits,
-                        effective_len: full_len,
-                    })
-            }
-        };
-
         let (per_unit, _, stats) = self.dispatch(model, units.len(), |ui, scratch| {
             // Per-request isolation: errors ride in their slot, never
             // abort the batch.
             let out: Vec<(usize, Result<ReadyOutcome, SimError>)> = match &units[ui] {
-                ReadyUnit::Solo(i) => vec![(*i, solo(*i, scratch))],
+                ReadyUnit::Adaptive { index, policy } => {
+                    let r = &requests[*index];
+                    let outcome =
+                        run_adaptive(model, policy, r.image_index, r.input, scratch, &tally, None)
+                            .map(|(logits, effective_len)| ReadyOutcome {
+                                logits,
+                                effective_len,
+                            });
+                    vec![(*index, outcome)]
+                }
                 ReadyUnit::Tile { len, members } => {
                     let idxs: Vec<u64> = members.iter().map(|&i| requests[i].image_index).collect();
                     let refs: Vec<&Tensor> = members.iter().map(|&i| requests[i].input).collect();
-                    let tiled = match len {
-                        Some(l) => model.logits_tile_at_with(&idxs, &refs, *l, scratch),
-                        None => model.logits_tile_with(&idxs, &refs, scratch),
-                    };
-                    match tiled {
-                        Ok(logits) => {
-                            tally.record(members.len());
-                            let effective_len = len.unwrap_or(full_len);
-                            members
-                                .iter()
-                                .zip(logits)
-                                .map(|(&i, logits)| {
-                                    (
-                                        i,
-                                        Ok(ReadyOutcome {
-                                            logits,
-                                            effective_len,
-                                        }),
-                                    )
-                                })
-                                .collect()
-                        }
-                        // Tile-level failure: demote to solo so each
-                        // request gets its own result or error.
-                        Err(_) => members.iter().map(|&i| (i, solo(i, scratch))).collect(),
-                    }
+                    let results = run_tile(model, &idxs, &refs, *len, scratch, &tally, None);
+                    members
+                        .iter()
+                        .zip(results)
+                        .map(|(&i, r)| {
+                            let outcome = r.map(|logits| ReadyOutcome {
+                                logits,
+                                effective_len: *len,
+                            });
+                            (i, outcome)
+                        })
+                        .collect()
                 }
             };
             Ok(out)
@@ -443,9 +409,9 @@ impl BatchEngine {
         }
         let started = Instant::now();
         let policy = self.exit_policy;
-        let full_len = model.config().stream_len;
-        // The adaptive path escalates per image, so it cannot tile; the
-        // fixed-length path tiles consecutive samples.
+        let full_len = model.max_stream_len();
+        // The adaptive path escalates per image, so its tiles hold one
+        // sample; the fixed-length path tiles consecutive samples.
         let tile = if policy.is_some() {
             1
         } else {
@@ -455,53 +421,35 @@ impl BatchEngine {
         let tally = TileTally::default();
         let (per_tile, cpu_busy, stats) = self.dispatch(model, tiles.len(), |ti, scratch| {
             let (lo, hi) = tiles[ti];
-            let mut outs: Vec<Result<(Tensor, usize), SimError>> = Vec::with_capacity(hi - lo);
+            // Every executed pass is a real execution; count each one.
             let mut passes: Vec<Vec<StepTiming>> = Vec::new();
-            match &policy {
-                Some(p) => {
-                    // Adaptive tiles are single samples.
-                    match model.logits_adaptive_timed_with(p, lo as u64, &samples[lo].0, scratch) {
-                        Ok((logits, len, ps)) => {
-                            outs.push(Ok((logits, len)));
-                            // Every escalation pass is a real execution;
-                            // count each one.
-                            passes.extend(ps);
-                        }
-                        Err(e) => outs.push(Err(e)),
-                    }
-                }
-                None if hi - lo > 1 => {
+            let outs: Vec<Result<(Tensor, usize), SimError>> = match &policy {
+                Some(p) => vec![run_adaptive(
+                    model,
+                    p,
+                    lo as u64,
+                    &samples[lo].0,
+                    scratch,
+                    &tally,
+                    Some(&mut passes),
+                )],
+                None => {
                     let idxs: Vec<u64> = (lo..hi).map(|i| i as u64).collect();
                     let refs: Vec<&Tensor> = samples[lo..hi].iter().map(|(x, _)| x).collect();
-                    match model.logits_tile_timed_with(&idxs, &refs, scratch) {
-                        Ok((logits, timings)) => {
-                            tally.record(hi - lo);
-                            outs.extend(logits.into_iter().map(|l| Ok((l, full_len))));
-                            passes.push(timings);
-                        }
-                        // Tile-level failure: demote to solo so the lowest
-                        // failing sample index is reported.
-                        Err(_) => {
-                            for (i, (x, _)) in samples.iter().enumerate().take(hi).skip(lo) {
-                                match model.logits_timed_with(i as u64, x, scratch) {
-                                    Ok((logits, timings)) => {
-                                        outs.push(Ok((logits, full_len)));
-                                        passes.push(timings);
-                                    }
-                                    Err(e) => outs.push(Err(e)),
-                                }
-                            }
-                        }
-                    }
+                    run_tile(
+                        model,
+                        &idxs,
+                        &refs,
+                        full_len,
+                        scratch,
+                        &tally,
+                        Some(&mut passes),
+                    )
+                    .into_iter()
+                    .map(|r| r.map(|logits| (logits, full_len)))
+                    .collect()
                 }
-                None => match model.logits_timed_with(lo as u64, &samples[lo].0, scratch) {
-                    Ok((logits, timings)) => {
-                        outs.push(Ok((logits, full_len)));
-                        passes.push(timings);
-                    }
-                    Err(e) => outs.push(Err(e)),
-                },
-            }
+            };
             Ok((outs, passes))
         })?;
         let wall = started.elapsed();
@@ -666,86 +614,122 @@ fn consecutive_tiles(count: usize, tile: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Runs images `lo..hi` of `inputs` as one tile, demoting to per-image
-/// solo runs when the tile fails so every image gets its own result or
-/// error (solo and tiled logits are bit-identical, so the demotion is
-/// invisible to successful images).
-fn run_tile_or_solo(
+/// Runs one tile at `stream_len`. When the tile fails, each member re-runs
+/// as a tile of one so every image gets its own result or error (tile
+/// sizes are bit-identical, so the re-run is invisible to successful
+/// images). Every completed tile is tallied; with `passes`, its step
+/// timings are collected too.
+fn run_tile(
     model: &PreparedModel,
-    inputs: &[Tensor],
-    lo: usize,
-    hi: usize,
+    idxs: &[u64],
+    inputs: &[&Tensor],
+    stream_len: usize,
     scratch: &mut SimScratch,
-    tally: Option<&TileTally>,
+    tally: &TileTally,
+    mut passes: Option<&mut Vec<Vec<StepTiming>>>,
 ) -> Vec<Result<Tensor, SimError>> {
-    if hi - lo > 1 {
-        let idxs: Vec<u64> = (lo..hi).map(|i| i as u64).collect();
-        let refs: Vec<&Tensor> = inputs[lo..hi].iter().collect();
-        if let Ok(outs) = model.logits_tile_with(&idxs, &refs, scratch) {
-            if let Some(tally) = tally {
-                tally.record(hi - lo);
-            }
-            return outs.into_iter().map(Ok).collect();
-        }
+    let mut exec = |idxs: &[u64], inputs: &[&Tensor]| {
+        let outs = match passes.as_deref_mut() {
+            Some(passes) => model
+                .logits_tile_at_timed_with(idxs, inputs, stream_len, scratch)
+                .map(|(outs, timings)| {
+                    passes.push(timings);
+                    outs
+                }),
+            None => model.logits_tile_at_with(idxs, inputs, stream_len, scratch),
+        }?;
+        tally.record(1, idxs.len());
+        Ok(outs)
+    };
+    match exec(idxs, inputs) {
+        Ok(outs) => outs.into_iter().map(Ok).collect(),
+        Err(e) if idxs.len() == 1 => vec![Err(e)],
+        Err(_) => idxs
+            .iter()
+            .zip(inputs)
+            .map(|(&i, &x)| exec(&[i], &[x]).map(|mut outs| outs.swap_remove(0)))
+            .collect(),
     }
-    (lo..hi)
-        .map(|i| model.logits_with(i as u64, &inputs[i], scratch))
-        .collect()
+}
+
+/// Runs one image adaptively under `policy` (every pass a tile of one),
+/// tallying each pass and, with `passes`, collecting its step timings.
+/// Returns the accepted logits and effective stream length.
+fn run_adaptive(
+    model: &PreparedModel,
+    policy: &ExitPolicy,
+    image_index: u64,
+    input: &Tensor,
+    scratch: &mut SimScratch,
+    tally: &TileTally,
+    passes: Option<&mut Vec<Vec<StepTiming>>>,
+) -> Result<(Tensor, usize), SimError> {
+    let (logits, len, timings) =
+        model.logits_adaptive_timed_with(policy, image_index, input, scratch)?;
+    tally.record(timings.len(), timings.len());
+    if let Some(passes) = passes {
+        passes.extend(timings);
+    }
+    Ok((logits, len))
 }
 
 /// One deterministic execution unit of a ready micro-batch.
 enum ReadyUnit {
-    /// Runs alone (adaptive request, or a tile group of one).
-    Solo(usize),
-    /// Fixed-length requests sharing one weight-bank walk at `len`
-    /// (`None` = the full prepare-time length).
-    Tile {
-        len: Option<usize>,
-        members: Vec<usize>,
-    },
+    /// One adaptive request, escalating under `policy`.
+    Adaptive { index: usize, policy: ExitPolicy },
+    /// Fixed-length requests sharing one weight-bank walk at `len`.
+    Tile { len: usize, members: Vec<usize> },
 }
 
 /// Groups ready requests into execution units, in request order.
 ///
 /// Adaptive requests (margin override, or plain requests under an engine
-/// policy) are always solo. Fixed-length requests group by effective
-/// stream length; a group flushes into a tile as soon as it reaches
-/// `tile_size`, and leftovers flush at the end in first-appearance order.
-/// The unit list is a pure function of `(requests, policy, tile_size)` —
-/// never of worker scheduling.
+/// policy) are units of their own. Fixed-length requests group by
+/// effective stream length; a group flushes into a tile as soon as it
+/// reaches `tile_size`, and leftovers flush at the end in first-appearance
+/// order. The unit list is a pure function of `(requests, policy,
+/// full_len, tile_size)` — never of worker scheduling.
 fn ready_units(
     requests: &[ReadyRequest<'_>],
     policy: &Option<ExitPolicy>,
+    full_len: usize,
     tile_size: usize,
 ) -> Vec<ReadyUnit> {
     let mut units = Vec::new();
-    let mut groups: Vec<(Option<usize>, Vec<usize>)> = Vec::new();
+    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
     for (i, r) in requests.iter().enumerate() {
-        let adaptive = r.margin.is_some() || (r.stream_len.is_none() && policy.is_some());
-        if tile_size <= 1 || adaptive {
-            units.push(ReadyUnit::Solo(i));
+        let adaptive = match (r.margin, r.stream_len, policy) {
+            (Some(margin), _, _) => Some(ExitPolicy {
+                margin,
+                ..policy.unwrap_or(MARGIN_OVERRIDE_TEMPLATE)
+            }),
+            (None, None, Some(p)) => Some(*p),
+            _ => None,
+        };
+        if let Some(policy) = adaptive {
+            units.push(ReadyUnit::Adaptive { index: i, policy });
             continue;
         }
-        let key = r.stream_len;
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((key, vec![i])),
-        }
-        let full = groups
-            .iter_mut()
-            .find(|(k, members)| *k == key && members.len() == tile_size);
-        if let Some((_, members)) = full {
+        let len = r.stream_len.unwrap_or(full_len);
+        let slot = match groups.iter().position(|(l, _)| *l == len) {
+            Some(g) => g,
+            None => {
+                groups.push((len, Vec::new()));
+                groups.len() - 1
+            }
+        };
+        let members = &mut groups[slot].1;
+        members.push(i);
+        if members.len() >= tile_size {
             units.push(ReadyUnit::Tile {
-                len: key,
+                len,
                 members: std::mem::take(members),
             });
         }
     }
     for (len, members) in groups {
-        match members.len() {
-            0 => {}
-            1 => units.push(ReadyUnit::Solo(members[0])),
-            _ => units.push(ReadyUnit::Tile { len, members }),
+        if !members.is_empty() {
+            units.push(ReadyUnit::Tile { len, members });
         }
     }
     units
@@ -759,8 +743,8 @@ struct TileTally {
 }
 
 impl TileTally {
-    fn record(&self, images: usize) {
-        self.tiles.fetch_add(1, Ordering::Relaxed);
+    fn record(&self, tiles: usize, images: usize) {
+        self.tiles.fetch_add(tiles as u64, Ordering::Relaxed);
         self.images.fetch_add(images as u64, Ordering::Relaxed);
     }
 
@@ -842,8 +826,8 @@ mod tests {
         let model =
             PreparedModel::compile(SimConfig::with_stream_len(64).unwrap(), &small_net()).unwrap();
         let xs = inputs(11);
-        // tile_size 1 is the pre-tiling solo path — the golden reference.
-        let solo = BatchEngine::new(1)
+        // tile_size 1 runs tiles of one — the reference.
+        let single = BatchEngine::new(1)
             .unwrap()
             .with_tile_size(1)
             .unwrap()
@@ -856,7 +840,7 @@ mod tests {
                 .unwrap()
                 .run(&model, &xs)
                 .unwrap();
-            assert_eq!(solo, tiled, "tile={tile}");
+            assert_eq!(single, tiled, "tile={tile}");
         }
     }
 
@@ -986,8 +970,8 @@ mod tests {
             .run_ready(&model, &[adaptive])
             .unwrap();
         let p = ExitPolicy::new(1, 10.0, 2).unwrap();
-        let (want, want_len) = model
-            .logits_adaptive_with(&p, 1, &xs[1], &mut scratch)
+        let (want, want_len, _) = model
+            .logits_adaptive_timed_with(&p, 1, &xs[1], &mut scratch)
             .unwrap();
         assert_eq!(got[0].as_ref().unwrap().logits, want);
         assert_eq!(got[0].as_ref().unwrap().effective_len, want_len);
@@ -998,8 +982,8 @@ mod tests {
             .with_exit_policy(ExitPolicy::new(1, 0.05, 2).unwrap())
             .unwrap();
         let got = policied.run_ready(&model, &[plain[4]]).unwrap();
-        let (want, want_len) = model
-            .logits_adaptive_with(
+        let (want, want_len, _) = model
+            .logits_adaptive_timed_with(
                 &ExitPolicy::new(1, 0.05, 2).unwrap(),
                 4,
                 &xs[4],
@@ -1016,7 +1000,7 @@ mod tests {
             PreparedModel::compile(SimConfig::with_stream_len(128).unwrap(), &small_net()).unwrap();
         let xs = inputs(7);
         // A mix of plain (full-length) and prefix-override requests, plus
-        // one adaptive request that must run solo.
+        // one adaptive request that escalates through tiles of one.
         let reqs: Vec<ReadyRequest> = xs
             .iter()
             .enumerate()
@@ -1041,6 +1025,15 @@ mod tests {
             .into_iter()
             .map(Result::unwrap)
             .collect();
+        let (_, _, passes) = model
+            .logits_adaptive_timed_with(
+                &ExitPolicy::new(1, 10.0, 2).unwrap(),
+                3,
+                &xs[3],
+                &mut SimScratch::default(),
+            )
+            .unwrap();
+        let adaptive_passes = passes.len() as u64;
         for (workers, tile) in [(1, 2), (1, 4), (3, 2), (3, 4)] {
             let (got, counters) = BatchEngine::new(workers)
                 .unwrap()
@@ -1055,10 +1048,19 @@ mod tests {
                     "workers={workers} tile={tile} i={i}"
                 );
             }
-            // 4 plain + 2 prefix requests are tileable; the adaptive one
-            // never is.
-            assert!(counters.tiles >= 2, "workers={workers} tile={tile}");
-            assert_eq!(counters.tiled_images, 6, "workers={workers} tile={tile}");
+            // 4 plain + 2 prefix requests form 3 tiles at width 2 and 2 at
+            // width 4; the adaptive request adds one tile of one per pass.
+            let fixed_tiles = if tile == 2 { 3 } else { 2 };
+            assert_eq!(
+                counters.tiles,
+                fixed_tiles + adaptive_passes,
+                "workers={workers} tile={tile}"
+            );
+            assert_eq!(
+                counters.tiled_images,
+                6 + adaptive_passes,
+                "workers={workers} tile={tile}"
+            );
             assert!(counters.mac_lanes > 0);
         }
     }

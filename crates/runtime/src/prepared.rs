@@ -42,8 +42,9 @@ pub fn derive_image_seed(base_seed: u32, image_index: u64) -> u32 {
 /// A network prepared once for stochastic batch execution.
 ///
 /// Wraps the quantized, stream-generated [`PreparedNetwork`] together with
-/// its [`SimConfig`] and exposes per-image execution in which image `i`
-/// always draws activation seeds derived from `(cfg.act_seed, i)`.
+/// its [`SimConfig`] and exposes tiled execution in which image `i` always
+/// draws activation seeds derived from `(cfg.act_seed, i)`; a lone image
+/// runs as a tile of one.
 #[derive(Debug)]
 pub struct PreparedModel {
     cfg: SimConfig,
@@ -185,14 +186,6 @@ impl PreparedModel {
         self.prepared.dedup_stats()
     }
 
-    /// A simulator whose activation seed is derived for `image_index` and
-    /// whose kernel is pinned to the autotuned plan.
-    fn image_sim(&self, image_index: u64) -> ScSimulator {
-        let mut cfg = self.run_cfg();
-        cfg.act_seed = derive_image_seed(self.cfg.act_seed, image_index);
-        ScSimulator::new(cfg)
-    }
-
     /// Stochastic logits of one image.
     ///
     /// Only pays for activation-stream generation and the AND/OR datapath;
@@ -208,7 +201,7 @@ impl PreparedModel {
 
     /// Like [`PreparedModel::logits`], reusing a caller-owned [`SimScratch`]
     /// so per-image heap churn amortizes to zero across a batch (the batch
-    /// engine keeps one scratch per worker).
+    /// engine keeps one scratch per worker). Runs a tile of one.
     ///
     /// # Errors
     ///
@@ -219,76 +212,26 @@ impl PreparedModel {
         input: &Tensor,
         scratch: &mut SimScratch,
     ) -> Result<Tensor, SimError> {
-        self.image_sim(image_index)
-            .run_prepared_with(&self.prepared, input, scratch)
+        self.logits_at_with(image_index, input, self.max_stream_len(), scratch)
     }
 
-    /// Like [`PreparedModel::logits`], also returning per-step wall-clock
-    /// timings (the batch engine's observability hook).
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath and shape errors.
-    pub fn logits_timed(
-        &self,
-        image_index: u64,
-        input: &Tensor,
-    ) -> Result<(Tensor, Vec<StepTiming>), SimError> {
-        self.logits_timed_with(image_index, input, &mut SimScratch::default())
-    }
-
-    /// Scratch-reusing variant of [`PreparedModel::logits_timed`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath and shape errors.
-    pub fn logits_timed_with(
-        &self,
-        image_index: u64,
-        input: &Tensor,
-        scratch: &mut SimScratch,
-    ) -> Result<(Tensor, Vec<StepTiming>), SimError> {
-        self.image_sim(image_index)
-            .run_prepared_timed_with(&self.prepared, input, scratch)
-    }
-
-    /// Stochastic logits of a tile of images, walking every weight-bank
-    /// word once per tile instead of once per image.
+    /// Stochastic logits of a tile of images at one supported stream
+    /// length, walking every weight-bank word once per image block instead
+    /// of once per image.
     ///
     /// `image_indices[t]` supplies the seed of `inputs[t]` exactly as in
     /// [`PreparedModel::logits_with`]; results are bit-identical to running
-    /// each image solo at its own index (the tiling invariant, enforced by
-    /// the kernel-equivalence suite), so tiling is purely a throughput
-    /// decision.
+    /// each image as a tile of one at its own index (the tiling invariant,
+    /// enforced by the kernel-equivalence suite), so tiling is purely a
+    /// throughput decision.
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidConfig`] for an empty tile or mismatched
-    /// `image_indices`/`inputs` lengths; otherwise propagates datapath and
-    /// shape errors (a failure anywhere fails the whole tile — callers
-    /// wanting per-image isolation re-run solo).
-    pub fn logits_tile_with(
-        &self,
-        image_indices: &[u64],
-        inputs: &[&Tensor],
-        scratch: &mut SimScratch,
-    ) -> Result<Vec<Tensor>, SimError> {
-        let seeds = self.tile_seeds(image_indices);
-        ScSimulator::new(self.run_cfg()).run_prepared_tile_with(
-            &self.prepared,
-            inputs,
-            &seeds,
-            scratch,
-        )
-    }
-
-    /// Tiled variant of [`PreparedModel::logits_at_with`]: the whole tile
-    /// runs at one shorter supported stream-length prefix.
-    ///
-    /// # Errors
-    ///
-    /// See [`PreparedModel::logits_tile_with`] and
-    /// [`PreparedModel::logits_at`].
+    /// [`SimError::InvalidConfig`] for an empty tile, mismatched
+    /// `image_indices`/`inputs` lengths or an unsupported `stream_len`;
+    /// otherwise propagates datapath and shape errors (a failure anywhere
+    /// fails the whole tile — callers wanting per-image isolation re-run
+    /// members as tiles of one).
     pub fn logits_tile_at_with(
         &self,
         image_indices: &[u64],
@@ -306,24 +249,26 @@ impl PreparedModel {
         )
     }
 
-    /// Timed variant of [`PreparedModel::logits_tile_with`]: also returns
-    /// one [`StepTiming`] per step, each covering the whole tile (a tiled
-    /// layer executes once for all of its images).
+    /// Timed variant of [`PreparedModel::logits_tile_at_with`]: also
+    /// returns one [`StepTiming`] per step, each covering the whole tile (a
+    /// tiled layer executes once for all of its images).
     ///
     /// # Errors
     ///
-    /// See [`PreparedModel::logits_tile_with`].
-    pub fn logits_tile_timed_with(
+    /// See [`PreparedModel::logits_tile_at_with`].
+    pub fn logits_tile_at_timed_with(
         &self,
         image_indices: &[u64],
         inputs: &[&Tensor],
+        stream_len: usize,
         scratch: &mut SimScratch,
     ) -> Result<(Vec<Tensor>, Vec<StepTiming>), SimError> {
         let seeds = self.tile_seeds(image_indices);
-        ScSimulator::new(self.run_cfg()).run_prepared_tile_timed_with(
+        ScSimulator::new(self.run_cfg()).run_prepared_tile_at_timed_with(
             &self.prepared,
             inputs,
             &seeds,
+            stream_len,
             scratch,
         )
     }
@@ -365,7 +310,8 @@ impl PreparedModel {
         self.logits_at_with(image_index, input, stream_len, &mut SimScratch::default())
     }
 
-    /// Scratch-reusing variant of [`PreparedModel::logits_at`].
+    /// Scratch-reusing variant of [`PreparedModel::logits_at`]; runs a tile
+    /// of one.
     ///
     /// # Errors
     ///
@@ -377,67 +323,21 @@ impl PreparedModel {
         stream_len: usize,
         scratch: &mut SimScratch,
     ) -> Result<Tensor, SimError> {
-        self.image_sim(image_index)
-            .run_prepared_at_with(&self.prepared, input, stream_len, scratch)
-    }
-
-    /// Timed scratch-reusing variant of [`PreparedModel::logits_at`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PreparedModel::logits_at`].
-    pub fn logits_at_timed_with(
-        &self,
-        image_index: u64,
-        input: &Tensor,
-        stream_len: usize,
-        scratch: &mut SimScratch,
-    ) -> Result<(Tensor, Vec<StepTiming>), SimError> {
-        self.image_sim(image_index).run_prepared_at_timed_with(
-            &self.prepared,
-            input,
-            stream_len,
-            scratch,
-        )
+        let mut outs = self.logits_tile_at_with(&[image_index], &[input], stream_len, scratch)?;
+        Ok(outs.swap_remove(0))
     }
 
     /// Early-exit logits of one image under `policy`: start at the
     /// policy's initial length, accept once the top-1/top-2 margin clears
     /// the threshold (or the maximum length is reached), escalate
-    /// otherwise. Returns the accepted logits and the effective (final)
-    /// stream length.
+    /// otherwise. Every pass runs the image as a tile of one. Returns the
+    /// accepted logits, the effective (final) stream length, and one
+    /// step-timing vector per executed pass (initial attempt plus each
+    /// escalation), so batch aggregation can count every pass.
     ///
     /// Every escalation decision depends only on `(model, image_index,
     /// input, policy)`, so the result is as worker-count-invariant as
     /// [`PreparedModel::logits`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath and shape errors.
-    pub fn logits_adaptive_with(
-        &self,
-        policy: &ExitPolicy,
-        image_index: u64,
-        input: &Tensor,
-        scratch: &mut SimScratch,
-    ) -> Result<(Tensor, usize), SimError> {
-        let supported = self.prepared.supported_lengths();
-        let mut len = policy.initial_len(supported);
-        loop {
-            let logits = self.logits_at_with(image_index, input, len, scratch)?;
-            if policy.accepts(&logits) {
-                return Ok((logits, len));
-            }
-            match policy.next_len(len, supported) {
-                Some(next) => len = next,
-                None => return Ok((logits, len)),
-            }
-        }
-    }
-
-    /// Timed variant of [`PreparedModel::logits_adaptive_with`]: also
-    /// returns one step-timing vector per executed pass (initial attempt
-    /// plus each escalation), so batch aggregation can count every pass.
     ///
     /// # Errors
     ///
@@ -454,7 +354,9 @@ impl PreparedModel {
         let mut len = policy.initial_len(supported);
         let mut passes = Vec::new();
         loop {
-            let (logits, timings) = self.logits_at_timed_with(image_index, input, len, scratch)?;
+            let (mut logits, timings) =
+                self.logits_tile_at_timed_with(&[image_index], &[input], len, scratch)?;
+            let logits = logits.swap_remove(0);
             passes.push(timings);
             if policy.accepts(&logits) {
                 return Ok((logits, len, passes));
@@ -1027,26 +929,22 @@ mod tests {
 
         // Zero margin accepts immediately at the initial length.
         let lax = ExitPolicy::new(1, 0.0, 2).unwrap();
-        let (_, len) = model
-            .logits_adaptive_with(&lax, 0, &x, &mut scratch)
+        let (_, len, passes) = model
+            .logits_adaptive_timed_with(&lax, 0, &x, &mut scratch)
             .unwrap();
         assert_eq!(len, lax.initial_len(model.supported_lengths()));
+        assert_eq!(passes.len(), 1);
 
         // An unreachable margin escalates to the maximum and returns those
         // logits — exactly the full-length result.
         let strict = ExitPolicy::new(1, 10.0, 2).unwrap();
-        let (logits, len) = model
-            .logits_adaptive_with(&strict, 0, &x, &mut scratch)
+        let (logits, len, passes) = model
+            .logits_adaptive_timed_with(&strict, 0, &x, &mut scratch)
             .unwrap();
         assert_eq!(len, model.max_stream_len());
         assert_eq!(logits, model.logits(0, &x).unwrap());
 
-        // The timed variant reports one pass per visited length.
-        let (_, len_t, passes) = model
-            .logits_adaptive_timed_with(&strict, 0, &x, &mut scratch)
-            .unwrap();
-        assert_eq!(len_t, len);
-        // Factor-2 escalation visits every supported length from the
+        // One pass per visited length. Factor-2 escalation visits every supported length from the
         // initial one up to the maximum.
         let initial = strict.initial_len(model.supported_lengths());
         let expected_passes = model

@@ -28,13 +28,12 @@ impl LayerTiming {
 }
 
 /// Kernel-efficiency counters of one batch or micro-batch: the MAC
-/// kernels' skip-work statistics plus how much of the batch ran through
-/// the image-tiled path.
+/// kernels' skip-work statistics plus the tiles that carried it.
 ///
-/// Counters are observability only — they never influence results — and
-/// skip attribution depends on the execution path (solo runs prefilter
-/// zero segments out of the lane lists where tiled runs skip them per
-/// image), so compare counter values only between runs of the same shape.
+/// Counters are observability only — they never influence results. Skip
+/// counts depend on how images were grouped into tiles (an all-saturated
+/// early exit needs every image of a tile to saturate), so compare counter
+/// values only between runs of the same tile shape.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Lanes whose AND/OR word work actually ran.
@@ -45,9 +44,11 @@ pub struct KernelCounters {
     pub sat_lanes_skipped: u64,
     /// Lanes skipped because the activation segment was all zero.
     pub zero_seg_skips: u64,
-    /// Image tiles executed through the tiled MAC path.
+    /// Tiles executed, tiles of one included (each adaptive escalation
+    /// pass is a tile of one).
     pub tiles: u64,
-    /// Images executed inside those tiles (the rest ran solo).
+    /// Image executions across those tiles (an adaptive image counts once
+    /// per pass).
     pub tiled_images: u64,
 }
 

@@ -196,9 +196,10 @@ pub struct StatsSnapshot {
     pub sat_lanes_skipped: u64,
     /// MAC lanes skipped because the activation segment was all zero.
     pub zero_seg_skips: u64,
-    /// Image tiles executed through the tiled MAC path.
+    /// Tiles executed, tiles of one included.
     pub tiles: u64,
-    /// Requests executed inside those tiles (the rest ran solo).
+    /// Request executions across those tiles (an adaptive request counts
+    /// once per escalation pass).
     pub tiled_requests: u64,
     /// Distinct canonical weight streams across resident cached models
     /// (gauge sampled at snapshot time, not a counter).

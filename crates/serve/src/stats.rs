@@ -49,9 +49,10 @@ pub struct Stats {
     pub sat_lanes_skipped: AtomicU64,
     /// Lanes skipped because the activation segment was all zero.
     pub zero_seg_skips: AtomicU64,
-    /// Image tiles executed through the tiled MAC path.
+    /// Tiles executed, tiles of one included.
     pub tiles: AtomicU64,
-    /// Requests executed inside those tiles (the rest ran solo).
+    /// Request executions across those tiles (an adaptive request counts
+    /// once per escalation pass).
     pub tiled_requests: AtomicU64,
     /// Kernel-tier code (`KernelKind::code`) of the autotuned plan of the
     /// most recently executed model — a gauge, not a counter. On a

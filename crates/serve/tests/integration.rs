@@ -557,20 +557,29 @@ fn many_persistent_connections_share_one_reactor() {
     );
     let addr = handle.addr();
     let images = tiny_images(4);
+    // Every client passes the barrier after its first reply and before
+    // its remaining requests, so all CONNS connections are accepted and
+    // open at the same moment — the high-water mark below does not depend
+    // on how the client threads happen to be scheduled.
+    let all_open = std::sync::Barrier::new(CONNS);
 
     let replies: Vec<(u64, Vec<u32>)> = std::thread::scope(|scope| {
         let mut joins = Vec::new();
         for c in 0..CONNS as u64 {
             let images = &images;
+            let all_open = &all_open;
             joins.push(scope.spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 let mut got = Vec::new();
                 for k in 0..PER_CONN {
                     let id = c + CONNS as u64 * k;
-                    match client
-                        .infer(request(id, &images[(id % 4) as usize]))
-                        .unwrap()
-                    {
+                    let reply = client.infer(request(id, &images[(id % 4) as usize]));
+                    if k == 0 {
+                        // Waited on before unwrapping, so a failed reply
+                        // still releases the other clients.
+                        all_open.wait();
+                    }
+                    match reply.unwrap() {
                         InferReply::Ok(r) => {
                             got.push((id, r.logits.iter().map(|v| v.to_bits()).collect()))
                         }

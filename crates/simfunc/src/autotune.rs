@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use crate::banks::{ActBank, LevelView};
 use crate::engine::PreparedNetwork;
-use crate::kernels::{self, active_kernel, KernelKind, KernelStats, SegGeom, TileState};
+use crate::kernels::{self, active_kernel, KernelKind, KernelStats, SegGeom, MAX_BLOCK};
 use crate::SimConfig;
 
 /// Candidate image-tile sizes swept at prepare time.
@@ -166,10 +166,7 @@ fn time_candidate(
     fan_in: usize,
     images: usize,
 ) -> u128 {
-    let mut accs = vec![0u64; tile * geom.seg_words];
-    let mut in_group = vec![0u32; tile];
-    let mut sat = vec![false; tile];
-    let mut phase = vec![0u64; tile];
+    let mut accs = vec![0u64; MAX_BLOCK * geom.seg_words];
     let mut counts = vec![0i64; tile * oc_cap];
     let mut stats = KernelStats::default();
     let batches = images.div_ceil(tile).max(1);
@@ -188,12 +185,7 @@ fn time_candidate(
                     lanes,
                     oc * fan_in,
                     0,
-                    &mut TileState {
-                        accs: &mut accs,
-                        in_group: &mut in_group,
-                        sat: &mut sat,
-                        phase: &mut phase,
-                    },
+                    &mut accs,
                     &mut counts,
                     oc_cap,
                     oc,

@@ -330,12 +330,6 @@ impl ActBank {
         self.seg_zero.resize(streams * segments, true);
     }
 
-    /// The whole word bank; lane offsets computed by the caller index into
-    /// this slice directly.
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     #[cfg(test)]
     pub(crate) fn segment(&self, idx: usize, e: usize) -> &[u64] {
         let base = (idx * self.segments + e) * self.seg_words;
@@ -360,56 +354,42 @@ impl ActBank {
     pub(crate) fn gate(&mut self, idx: usize) {
         self.gated[idx] = true;
     }
-
-    pub(crate) fn is_gated(&self, idx: usize) -> bool {
-        self.gated[idx]
-    }
-
-    pub(crate) fn is_seg_zero(&self, seg_idx: usize) -> bool {
-        self.seg_zero[seg_idx]
-    }
 }
 
-/// Reusable per-inference working memory: the segmented activation bank(s),
-/// MAC accumulators, geometry/lane lists, SNG staging buffers, and kernel
-/// skip counters.
+/// Reusable per-tile working memory: the per-image segmented activation
+/// banks, multi-word MAC accumulators, lane lists and lane-filter counts,
+/// SNG staging buffers, and kernel skip counters.
 ///
 /// Construct once (it is `Default`) and thread through
-/// [`ScSimulator::run_prepared_with`] to amortise every per-image buffer
-/// across a batch — a fresh scratch gives bit-identical results, only slower.
-/// The batch runtime keeps one per worker thread.
+/// [`ScSimulator::run_prepared_tile_with`] (or any `*_with` entry point)
+/// to amortise every buffer across a batch — a fresh scratch gives
+/// bit-identical results, only slower. The batch runtime keeps one per
+/// worker thread.
 ///
-/// [`ScSimulator::run_prepared_with`]: crate::ScSimulator::run_prepared_with
+/// [`ScSimulator::run_prepared_tile_with`]: crate::ScSimulator::run_prepared_tile_with
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    /// Word-aligned segmented activation streams of the current layer.
-    pub(crate) acts: ActBank,
     /// One full-length activation stream being generated/segmented.
     pub(crate) full: Vec<u64>,
     /// Pre-quantized comparator thresholds (shared-RNG path).
     pub(crate) thresholds: Vec<u32>,
-    /// Fused MAC accumulator words (one OR group), sized once per layer.
-    pub(crate) acc: Vec<u64>,
-    /// Per-output-channel signed counters of the pixel in flight.
-    pub(crate) counts: Vec<i64>,
-    /// Receptive-field lanes of the current spatial position — shared by
-    /// every output channel. Solo runs store `(segment_index, weight_base)`
-    /// with the pooling segment resolved; tiled runs store
-    /// `(activation_index, weight_base)` so per-image gating can be applied
-    /// inside the kernel.
+    /// Receptive-field lanes `(activation_index, weight_base)` of the
+    /// current spatial position — shared by every output channel and every
+    /// image of the tile (per-image gating is applied inside the kernel).
     pub(crate) lanes: Vec<(usize, usize)>,
     /// Per-image activation banks of the tile in flight.
-    pub(crate) tile_acts: Vec<ActBank>,
-    /// Per-image MAC accumulators, `tile_size * seg_words` words.
-    pub(crate) tile_accs: Vec<u64>,
-    /// Per-image OR-group occupancy counters.
-    pub(crate) tile_in_group: Vec<u32>,
-    /// Per-image saturation flags of the OR group in flight.
-    pub(crate) tile_sat: Vec<bool>,
-    /// Per-image single-phase counts of the segment in flight.
-    pub(crate) tile_phase: Vec<u64>,
+    pub(crate) acts: Vec<ActBank>,
+    /// Per activation of the current layer: images of the tile in which it
+    /// is not gated.
+    pub(crate) live: Vec<u32>,
+    /// Per activation segment of the current layer: images of the tile in
+    /// which it is non-zero.
+    pub(crate) nonzero: Vec<u32>,
+    /// Multi-word MAC accumulators of one image block
+    /// (`MAX_BLOCK * seg_words` words); all-zero at rest.
+    pub(crate) accs: Vec<u64>,
     /// Per-image per-output-channel signed counters (`t * out_c + oc`).
-    pub(crate) tile_counts: Vec<i64>,
+    pub(crate) counts: Vec<i64>,
     /// Kernel skip counters accumulated by every run using this scratch.
     pub(crate) stats: KernelStats,
 }
@@ -417,8 +397,7 @@ pub struct SimScratch {
 impl SimScratch {
     /// Kernel skip counters accumulated so far (saturated-group early-outs,
     /// zero-segment skips, merged lanes). Counters are observability only:
-    /// they never influence results, and their exact values depend on which
-    /// execution path (solo vs tiled) produced them.
+    /// they never influence results.
     pub fn kernel_stats(&self) -> KernelStats {
         self.stats
     }

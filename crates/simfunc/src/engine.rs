@@ -19,7 +19,7 @@ use acoustic_nn::Tensor;
 use crate::banks::{
     fnv1a, ActBank, DedupStats, PoolLevel, PoolMap, SimScratch, StreamPool, NO_SLOT,
 };
-use crate::kernels::{self, active_kernel, KernelKind, SegGeom, TileState};
+use crate::kernels::{self, active_kernel, KernelKind, SegGeom, MAX_BLOCK};
 use crate::pool::{layer_content_key, SharedStreamPool};
 use crate::{SimConfig, SimError};
 
@@ -81,24 +81,6 @@ const MIN_LANES_PER_THREAD: usize = 8192;
 
 /// Minimum pool slots per phase-C worker.
 const MIN_SLOTS_PER_THREAD: usize = 1024;
-
-/// Per-layer decoded outputs of a traced run.
-#[derive(Debug, Clone)]
-pub struct LayerTrace {
-    /// Step label, e.g. `"conv0"`, `"relu"`, `"dense1"`.
-    pub name: String,
-    /// Decoded (binary-domain) output of the step.
-    pub output: Tensor,
-}
-
-/// Full trace of one stochastic inference.
-#[derive(Debug, Clone)]
-pub struct RunTrace {
-    /// Every executed step with its decoded output.
-    pub layers: Vec<LayerTrace>,
-    /// Final logits.
-    pub logits: Tensor,
-}
 
 /// Wall-clock cost of one executed step (observability hook for the batch
 /// runtime). Steps inside a residual block are reported individually *and*
@@ -205,8 +187,7 @@ impl PreparedNetwork {
     }
 
     /// Labels of the top-level execution steps, in order (matches the names
-    /// reported by [`RunTrace`] and [`StepTiming`], without residual
-    /// inner steps).
+    /// reported by [`StepTiming`], without residual inner steps).
     pub fn step_names(&self) -> Vec<String> {
         self.steps.iter().map(|s| s.label.to_string()).collect()
     }
@@ -594,11 +575,12 @@ impl ScSimulator {
         self.run_prepared_with(prepared, input, &mut SimScratch::default())
     }
 
-    /// Runs one inference reusing caller-owned working memory.
+    /// Runs one inference reusing caller-owned working memory: a tile of
+    /// one at the configured activation seed.
     ///
     /// Bit-identical to [`ScSimulator::run_prepared`]; the scratch only
-    /// recycles buffers (activation bank, MAC accumulator, lane lists)
-    /// between images so the steady-state datapath is allocation-free.
+    /// recycles buffers (activation banks, accumulators, lane lists)
+    /// between calls so the steady-state datapath is allocation-free.
     ///
     /// # Errors
     ///
@@ -609,8 +591,7 @@ impl ScSimulator {
         input: &Tensor,
         scratch: &mut SimScratch,
     ) -> Result<Tensor, SimError> {
-        let run = self.full_run();
-        self.execute(prepared, input, None, None, scratch, run)
+        self.run_one(prepared, input, scratch, self.full_run())
     }
 
     /// The full-length run selection with the kernel resolved against host
@@ -674,37 +655,33 @@ impl ScSimulator {
         scratch: &mut SimScratch,
     ) -> Result<Tensor, SimError> {
         let run = self.resolve_len(prepared, stream_len)?;
-        self.execute(prepared, input, None, None, scratch, run)
+        self.run_one(prepared, input, scratch, run)
     }
 
-    /// Timed variant of [`ScSimulator::run_prepared_at_with`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ScSimulator::run_prepared_at`].
-    pub fn run_prepared_at_timed_with(
+    /// Runs `input` as a tile of one at the configured activation seed.
+    fn run_one(
         &self,
         prepared: &PreparedNetwork,
         input: &Tensor,
-        stream_len: usize,
         scratch: &mut SimScratch,
-    ) -> Result<(Tensor, Vec<StepTiming>), SimError> {
-        let run = self.resolve_len(prepared, stream_len)?;
-        let mut timings = Vec::with_capacity(prepared.step_count());
-        let logits = self.execute(prepared, input, None, Some(&mut timings), scratch, run)?;
-        Ok((logits, timings))
+        run: RunLen,
+    ) -> Result<Tensor, SimError> {
+        let mut outs =
+            self.execute_tile(prepared, &[input], &[self.cfg.act_seed], None, scratch, run)?;
+        Ok(outs.swap_remove(0))
     }
 
     /// Runs one inference per image of a tile, walking each weight-bank
     /// word once per tile instead of once per image (the weight banks are
     /// the large, cold operand — activations are regenerated per layer and
-    /// stay hot).
+    /// stay hot). This is the simulator's only forward pass: every
+    /// single-image entry point runs a tile of one.
     ///
     /// `act_seeds[t]` replaces the configured activation seed for image
     /// `t`, so callers batching distinct images keep per-image stream
     /// independence. The results are bit-identical to running each image
-    /// solo through [`ScSimulator::run_prepared`] with
-    /// `cfg.act_seed = act_seeds[t]`.
+    /// alone through [`ScSimulator::run_prepared`] with
+    /// `cfg.act_seed = act_seeds[t]`, for every tile size.
     ///
     /// # Errors
     ///
@@ -736,33 +713,6 @@ impl ScSimulator {
         self.execute_tile(prepared, inputs, act_seeds, None, scratch, run)
     }
 
-    /// Timed variant of [`ScSimulator::run_prepared_tile_with`]: also
-    /// returns one [`StepTiming`] per step, where each entry covers the
-    /// whole tile (a tiled layer executes once for all images).
-    ///
-    /// # Errors
-    ///
-    /// See [`ScSimulator::run_prepared_tile`].
-    pub fn run_prepared_tile_timed_with(
-        &self,
-        prepared: &PreparedNetwork,
-        inputs: &[&Tensor],
-        act_seeds: &[u32],
-        scratch: &mut SimScratch,
-    ) -> Result<(Vec<Tensor>, Vec<StepTiming>), SimError> {
-        let run = self.full_run();
-        let mut timings = Vec::with_capacity(prepared.step_count());
-        let outs = self.execute_tile(
-            prepared,
-            inputs,
-            act_seeds,
-            Some(&mut timings),
-            scratch,
-            run,
-        )?;
-        Ok((outs, timings))
-    }
-
     /// Tiled variant of [`ScSimulator::run_prepared_at_with`]: executes the
     /// whole tile at a shorter stream-length prefix of the prepared banks.
     ///
@@ -782,6 +732,34 @@ impl ScSimulator {
         self.execute_tile(prepared, inputs, act_seeds, None, scratch, run)
     }
 
+    /// Timed variant of [`ScSimulator::run_prepared_tile_at_with`]: also
+    /// returns one [`StepTiming`] per step, where each entry covers the
+    /// whole tile (a tiled layer executes once for all images).
+    ///
+    /// # Errors
+    ///
+    /// See [`ScSimulator::run_prepared_tile_at_with`].
+    pub fn run_prepared_tile_at_timed_with(
+        &self,
+        prepared: &PreparedNetwork,
+        inputs: &[&Tensor],
+        act_seeds: &[u32],
+        stream_len: usize,
+        scratch: &mut SimScratch,
+    ) -> Result<(Vec<Tensor>, Vec<StepTiming>), SimError> {
+        let run = self.resolve_len(prepared, stream_len)?;
+        let mut timings = Vec::with_capacity(prepared.step_count());
+        let outs = self.execute_tile(
+            prepared,
+            inputs,
+            act_seeds,
+            Some(&mut timings),
+            scratch,
+            run,
+        )?;
+        Ok((outs, timings))
+    }
+
     fn resolve_len(
         &self,
         prepared: &PreparedNetwork,
@@ -798,63 +776,6 @@ impl ScSimulator {
             level,
             per_phase: stream_len / 2,
             kernel: active_kernel(self.cfg.kernel),
-        })
-    }
-
-    /// Runs one inference on an already-prepared network, additionally
-    /// recording the wall-clock cost of every executed step.
-    ///
-    /// The logits are bit-identical to [`ScSimulator::run_prepared`]; the
-    /// timings are the runtime's lightweight per-layer observability hook.
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath and shape errors.
-    pub fn run_prepared_timed(
-        &self,
-        prepared: &PreparedNetwork,
-        input: &Tensor,
-    ) -> Result<(Tensor, Vec<StepTiming>), SimError> {
-        self.run_prepared_timed_with(prepared, input, &mut SimScratch::default())
-    }
-
-    /// Timed variant of [`ScSimulator::run_prepared_with`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath and shape errors.
-    pub fn run_prepared_timed_with(
-        &self,
-        prepared: &PreparedNetwork,
-        input: &Tensor,
-        scratch: &mut SimScratch,
-    ) -> Result<(Tensor, Vec<StepTiming>), SimError> {
-        let run = self.full_run();
-        let mut timings = Vec::with_capacity(prepared.step_count());
-        let logits = self.execute(prepared, input, None, Some(&mut timings), scratch, run)?;
-        Ok((logits, timings))
-    }
-
-    /// Runs one inference collecting per-step decoded outputs.
-    ///
-    /// # Errors
-    ///
-    /// See [`ScSimulator::run`].
-    pub fn run_traced(&self, net: &Network, input: &Tensor) -> Result<RunTrace, SimError> {
-        let prepared = self.prepare(net)?;
-        let mut traces = Vec::new();
-        let run = self.full_run();
-        let logits = self.execute(
-            &prepared,
-            input,
-            Some(&mut traces),
-            None,
-            &mut SimScratch::default(),
-            run,
-        )?;
-        Ok(RunTrace {
-            layers: traces,
-            logits,
         })
     }
 
@@ -906,85 +827,6 @@ impl ScSimulator {
             }
         }
         Ok(correct as f64 / samples.len() as f64)
-    }
-
-    fn execute(
-        &self,
-        prepared: &PreparedNetwork,
-        input: &Tensor,
-        traces: Option<&mut Vec<LayerTrace>>,
-        timings: Option<&mut Vec<StepTiming>>,
-        scratch: &mut SimScratch,
-        run: RunLen,
-    ) -> Result<Tensor, SimError> {
-        let aq = Quantizer::unsigned_unit(self.cfg.quant_bits)?;
-        let x = input.map(|v| aq.quantize_value(v.clamp(0.0, 1.0)));
-        self.execute_steps(&prepared.steps, x, traces, timings, scratch, run)
-    }
-
-    fn execute_steps(
-        &self,
-        steps: &[Step],
-        mut x: Tensor,
-        mut traces: Option<&mut Vec<LayerTrace>>,
-        mut timings: Option<&mut Vec<StepTiming>>,
-        scratch: &mut SimScratch,
-        run: RunLen,
-    ) -> Result<Tensor, SimError> {
-        for step in steps {
-            let started = timings.as_ref().map(|_| std::time::Instant::now());
-            let out = match &step.op {
-                StepOp::Conv(c) => self.exec_conv(c, &x, scratch, run)?,
-                StepOp::Dense(d) => self.exec_dense(d, &x, scratch, run)?,
-                StepOp::BinaryAvgPool(k) => binary_avg_pool(&x, *k)?,
-                StepOp::MaxPool(k) => binary_max_pool(&x, *k)?,
-                StepOp::Relu(hi) => {
-                    // The counter/ReLU unit gates the sign and the unipolar
-                    // representation caps at 1.0 regardless of the layer's
-                    // own clamp setting.
-                    let cap = hi.unwrap_or(1.0).min(1.0);
-                    x.map(|v| v.clamp(0.0, cap))
-                }
-                StepOp::Flatten => x.to_flat(),
-                StepOp::Residual(inner) => {
-                    let skip = x.clone();
-                    let mut y = self.execute_steps(
-                        inner,
-                        x.clone(),
-                        traces.as_deref_mut(),
-                        timings.as_deref_mut(),
-                        scratch,
-                        run,
-                    )?;
-                    if y.shape() != skip.shape() {
-                        return Err(SimError::UnsupportedLayer(format!(
-                            "residual inner path changed shape {:?} -> {:?}",
-                            skip.shape(),
-                            y.shape()
-                        )));
-                    }
-                    // Counter-domain addition of the skip path.
-                    for (o, &s) in y.as_mut_slice().iter_mut().zip(skip.as_slice()) {
-                        *o += s;
-                    }
-                    y
-                }
-            };
-            x = out;
-            if let (Some(t), Some(start)) = (timings.as_deref_mut(), started) {
-                t.push(StepTiming {
-                    name: Arc::clone(&step.label),
-                    nanos: start.elapsed().as_nanos(),
-                });
-            }
-            if let Some(t) = traces.as_deref_mut() {
-                t.push(LayerTrace {
-                    name: step.label.to_string(),
-                    output: x.clone(),
-                });
-            }
-        }
-        Ok(x)
     }
 
     /// Generates the per-segment weight streams of a MAC layer into its
@@ -1298,216 +1140,6 @@ impl ScSimulator {
         Ok(())
     }
 
-    fn exec_conv(
-        &self,
-        c: &PreparedConv,
-        input: &Tensor,
-        scratch: &mut SimScratch,
-        run: RunLen,
-    ) -> Result<Tensor, SimError> {
-        let weights = c.weights.level(run.level);
-        let shape = input.shape();
-        if shape.len() != 3 || shape[0] != c.in_c {
-            return Err(SimError::Nn(acoustic_nn::NnError::ShapeMismatch {
-                expected: vec![c.in_c, 0, 0],
-                actual: shape.to_vec(),
-            }));
-        }
-        let (h, w) = (shape[1], shape[2]);
-        let oh = (h + 2 * c.pad - c.k) / c.stride + 1;
-        let ow = (w + 2 * c.pad - c.k) / c.stride + 1;
-        let segments = c.pool.map_or(1, |k| k * k);
-        if let Some(pk) = c.pool {
-            if !oh.is_multiple_of(pk) || !ow.is_multiple_of(pk) {
-                return Err(SimError::UnsupportedLayer(format!(
-                    "conv output {oh}x{ow} not divisible by fused pool window {pk}"
-                )));
-            }
-        }
-        let m = run.per_phase;
-        self.fill_activation_bank(
-            input.as_slice(),
-            self.cfg.act_seed,
-            c.ordinal,
-            segments,
-            m,
-            &mut scratch.full,
-            &mut scratch.thresholds,
-            &mut scratch.acts,
-        )?;
-
-        let seg_words = weights.seg_words;
-        let geom = SegGeom::new(segments, seg_words, m / segments, self.or_group());
-        let single = geom.single_group();
-        let fan_in = c.in_c * c.k * c.k;
-        let (out_h, out_w) = match c.pool {
-            Some(pk) => (oh / pk, ow / pk),
-            None => (oh, ow),
-        };
-        let mut out = Tensor::zeros(&[c.out_c, out_h, out_w]);
-
-        let window = c.pool.unwrap_or(1);
-        let SimScratch {
-            acts,
-            acc,
-            counts,
-            lanes,
-            stats,
-            ..
-        } = scratch;
-        // Sized (and zeroed) once per layer; the kernels restore the
-        // all-zero state before returning.
-        acc.clear();
-        acc.resize(seg_words, 0);
-        // The receptive field (`lanes`) depends only on the spatial position,
-        // so it is built once per (py, px, e) and reused across all output
-        // channels; each lane stores its resolved segment index and the
-        // in-kernel weight offset — the per-channel base (`oc * fan_in`) is
-        // added inside the MAC.
-        for py in 0..out_h {
-            for px in 0..out_w {
-                counts.clear();
-                counts.resize(c.out_c, 0);
-                // `e` is the pooling-segment ordinal, mapped to a conv
-                // output position; enumerating would not simplify this.
-                #[allow(clippy::needless_range_loop)]
-                for e in 0..segments {
-                    // Conv output position covered by this segment.
-                    let (oy, ox) = if c.pool.is_some() {
-                        (py * window + e / window, px * window + e % window)
-                    } else {
-                        (py, px)
-                    };
-                    lanes.clear();
-                    for ic in 0..c.in_c {
-                        for ky in 0..c.k {
-                            let iy = (oy * c.stride + ky) as isize - c.pad as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..c.k {
-                                let ix = (ox * c.stride + kx) as isize - c.pad as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let a_idx = (ic * h + iy as usize) * w + ix as usize;
-                                // Gating is a property of the activation
-                                // alone, so gated lanes are filtered here —
-                                // once per spatial position, not per output
-                                // channel or phase.
-                                if acts.is_gated(a_idx) {
-                                    continue;
-                                }
-                                let seg_idx = a_idx * segments + e;
-                                // With the whole fan-in in one OR group
-                                // there are no group boundaries to keep, so
-                                // all-zero segments can be dropped from the
-                                // lane list outright.
-                                if single && acts.is_seg_zero(seg_idx) {
-                                    stats.zero_seg_skips += 1;
-                                    continue;
-                                }
-                                let w_base = (ic * c.k + ky) * c.k + kx;
-                                lanes.push((seg_idx, w_base));
-                            }
-                        }
-                    }
-                    for oc in 0..c.out_c {
-                        let d = kernels::mac_segment(
-                            run.kernel,
-                            &geom,
-                            acts.words(),
-                            &acts.seg_zero,
-                            weights.pos,
-                            weights.neg,
-                            lanes,
-                            oc * fan_in,
-                            e,
-                            acc,
-                            stats,
-                        );
-                        counts[oc] += d;
-                    }
-                }
-                for (oc, &count) in counts.iter().enumerate().take(c.out_c) {
-                    out.set3(oc, py, px, count as f32 / m as f32);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn exec_dense(
-        &self,
-        d: &PreparedDense,
-        input: &Tensor,
-        scratch: &mut SimScratch,
-        run: RunLen,
-    ) -> Result<Tensor, SimError> {
-        if input.len() != d.in_n {
-            return Err(SimError::Nn(acoustic_nn::NnError::ShapeMismatch {
-                expected: vec![d.in_n],
-                actual: input.shape().to_vec(),
-            }));
-        }
-        let weights = d.weights.level(run.level);
-        let m = run.per_phase;
-        self.fill_activation_bank(
-            input.as_slice(),
-            self.cfg.act_seed,
-            d.ordinal,
-            1,
-            m,
-            &mut scratch.full,
-            &mut scratch.thresholds,
-            &mut scratch.acts,
-        )?;
-        let seg_words = weights.seg_words;
-        let geom = SegGeom::new(1, seg_words, m, self.or_group());
-        let single = geom.single_group();
-        let mut out = vec![0.0f32; d.out_n];
-        let SimScratch {
-            acts,
-            acc,
-            lanes,
-            stats,
-            ..
-        } = scratch;
-        acc.clear();
-        acc.resize(seg_words, 0);
-        lanes.clear();
-        for i in 0..d.in_n {
-            if acts.is_gated(i) {
-                continue;
-            }
-            // One segment per stream: the segment index equals the
-            // activation index.
-            if single && acts.is_seg_zero(i) {
-                stats.zero_seg_skips += 1;
-                continue;
-            }
-            lanes.push((i, i));
-        }
-        for (o, slot) in out.iter_mut().enumerate() {
-            let count = kernels::mac_segment(
-                run.kernel,
-                &geom,
-                acts.words(),
-                &acts.seg_zero,
-                weights.pos,
-                weights.neg,
-                lanes,
-                o * d.in_n,
-                0,
-                acc,
-                stats,
-            );
-            *slot = count as f32 / m as f32;
-        }
-
-        Ok(Tensor::from_vec(&[d.out_n], out)?)
-    }
-
     fn execute_tile(
         &self,
         prepared: &PreparedNetwork,
@@ -1558,6 +1190,9 @@ impl ScSimulator {
                     .map(|x| binary_max_pool(x, *k))
                     .collect::<Result<_, _>>()?,
                 StepOp::Relu(hi) => {
+                    // The counter/ReLU unit gates the sign and the unipolar
+                    // representation caps at 1.0 regardless of the layer's
+                    // own clamp setting.
                     let cap = hi.unwrap_or(1.0).min(1.0);
                     xs.into_iter()
                         .map(|x| x.map(|v| v.clamp(0.0, cap)))
@@ -1582,6 +1217,7 @@ impl ScSimulator {
                                 y.shape()
                             )));
                         }
+                        // Counter-domain addition of the skip path.
                         for (o, &s) in y.as_mut_slice().iter_mut().zip(skip.as_slice()) {
                             *o += s;
                         }
@@ -1600,7 +1236,9 @@ impl ScSimulator {
     }
 
     /// Fills one activation bank per tile image (identical layouts, the
-    /// image's own seed) and sizes the tiled MAC state.
+    /// image's own seed), counts the lane filter's per-activation live
+    /// images and per-segment non-zero images, and sizes the multi-word
+    /// accumulators.
     #[allow(clippy::too_many_arguments)]
     fn fill_tile_banks(
         &self,
@@ -1613,29 +1251,48 @@ impl ScSimulator {
         scratch: &mut SimScratch,
     ) -> Result<(), SimError> {
         let tile = xs.len();
-        if scratch.tile_acts.len() < tile {
-            scratch.tile_acts.resize_with(tile, ActBank::default);
+        let SimScratch {
+            full,
+            thresholds,
+            acts,
+            live,
+            nonzero,
+            accs,
+            ..
+        } = scratch;
+        if acts.len() < tile {
+            acts.resize_with(tile, ActBank::default);
         }
-        for (t, x) in xs.iter().enumerate() {
+        for ((x, &seed), bank) in xs.iter().zip(act_seeds).zip(acts.iter_mut()) {
             self.fill_activation_bank(
                 x.as_slice(),
-                act_seeds[t],
+                seed,
                 ordinal,
                 segments,
                 m,
-                &mut scratch.full,
-                &mut scratch.thresholds,
-                &mut scratch.tile_acts[t],
+                full,
+                thresholds,
+                bank,
             )?;
         }
-        scratch.tile_accs.clear();
-        scratch.tile_accs.resize(tile * seg_words, 0);
-        scratch.tile_in_group.clear();
-        scratch.tile_in_group.resize(tile, 0);
-        scratch.tile_sat.clear();
-        scratch.tile_sat.resize(tile, false);
-        scratch.tile_phase.clear();
-        scratch.tile_phase.resize(tile, 0);
+        let streams = xs[0].len();
+        live.clear();
+        live.resize(streams, 0);
+        nonzero.clear();
+        nonzero.resize(streams * segments, 0);
+        for bank in &acts[..tile] {
+            for (l, &g) in live.iter_mut().zip(&bank.gated) {
+                *l += u32::from(!g);
+            }
+            // Gated activations leave every segment flagged zero.
+            for (z, &zero) in nonzero.iter_mut().zip(&bank.seg_zero) {
+                *z += u32::from(!zero);
+            }
+        }
+        // The kernels return the accumulators all-zero, so they only grow.
+        if accs.len() < MAX_BLOCK * seg_words {
+            accs.resize(MAX_BLOCK * seg_words, 0);
+        }
         Ok(())
     }
 
@@ -1688,22 +1345,28 @@ impl ScSimulator {
         let window = c.pool.unwrap_or(1);
         let SimScratch {
             lanes,
-            tile_acts,
-            tile_accs,
-            tile_in_group,
-            tile_sat,
-            tile_phase,
-            tile_counts,
+            acts,
+            live,
+            nonzero,
+            accs,
+            counts,
             stats,
             ..
         } = scratch;
-        let banks = &tile_acts[..tile];
+        let banks = &acts[..tile];
+        // The receptive field (`lanes`) depends only on the spatial position,
+        // so it is built once per (py, px, e) and reused across all output
+        // channels and images; the per-channel weight base (`oc * fan_in`)
+        // is added inside the MAC.
         for py in 0..out_h {
             for px in 0..out_w {
-                tile_counts.clear();
-                tile_counts.resize(tile * c.out_c, 0);
+                counts.clear();
+                counts.resize(tile * c.out_c, 0);
+                // `e` is the pooling-segment ordinal, mapped to a conv
+                // output position; enumerating would not simplify this.
                 #[allow(clippy::needless_range_loop)]
                 for e in 0..segments {
+                    // Conv output position covered by this segment.
                     let (oy, ox) = if c.pool.is_some() {
                         (py * window + e / window, px * window + e % window)
                     } else {
@@ -1726,17 +1389,12 @@ impl ScSimulator {
                                 // OR-group slot anywhere — drop it. With a
                                 // single group, a lane that is gated or
                                 // all-zero in every image is a no-op too.
-                                if banks.iter().all(|b| b.is_gated(a_idx)) {
+                                let live_images = live[a_idx];
+                                if live_images == 0 {
                                     continue;
                                 }
-                                let seg_idx = a_idx * segments + e;
-                                if single
-                                    && banks
-                                        .iter()
-                                        .all(|b| b.is_gated(a_idx) || b.is_seg_zero(seg_idx))
-                                {
-                                    stats.zero_seg_skips +=
-                                        banks.iter().filter(|b| !b.is_gated(a_idx)).count() as u64;
+                                if single && nonzero[a_idx * segments + e] == 0 {
+                                    stats.zero_seg_skips += u64::from(live_images);
                                     continue;
                                 }
                                 let w_base = (ic * c.k + ky) * c.k + kx;
@@ -1754,22 +1412,17 @@ impl ScSimulator {
                             lanes,
                             oc * fan_in,
                             e,
-                            &mut TileState {
-                                accs: &mut tile_accs[..tile * seg_words],
-                                in_group: &mut tile_in_group[..tile],
-                                sat: &mut tile_sat[..tile],
-                                phase: &mut tile_phase[..tile],
-                            },
-                            tile_counts,
+                            accs,
+                            counts,
                             c.out_c,
                             oc,
                             stats,
                         );
                     }
                 }
-                for (t, out) in outs.iter_mut().enumerate() {
-                    for oc in 0..c.out_c {
-                        out.set3(oc, py, px, tile_counts[t * c.out_c + oc] as f32 / m as f32);
+                for (out, row) in outs.iter_mut().zip(counts.chunks_exact(c.out_c)) {
+                    for (oc, &count) in row.iter().enumerate() {
+                        out.set3(oc, py, px, count as f32 / m as f32);
                     }
                 }
             }
@@ -1802,29 +1455,30 @@ impl ScSimulator {
         let single = geom.single_group();
         let SimScratch {
             lanes,
-            tile_acts,
-            tile_accs,
-            tile_in_group,
-            tile_sat,
-            tile_phase,
-            tile_counts,
+            acts,
+            live,
+            nonzero,
+            accs,
+            counts,
             stats,
             ..
         } = scratch;
-        let banks = &tile_acts[..tile];
+        let banks = &acts[..tile];
         lanes.clear();
+        // One segment per stream: the segment index equals the activation
+        // index. Same filter as the conv lanes.
         for i in 0..d.in_n {
-            if banks.iter().all(|b| b.is_gated(i)) {
+            if live[i] == 0 {
                 continue;
             }
-            if single && banks.iter().all(|b| b.is_gated(i) || b.is_seg_zero(i)) {
-                stats.zero_seg_skips += banks.iter().filter(|b| !b.is_gated(i)).count() as u64;
+            if single && nonzero[i] == 0 {
+                stats.zero_seg_skips += u64::from(live[i]);
                 continue;
             }
             lanes.push((i, i));
         }
-        tile_counts.clear();
-        tile_counts.resize(tile * d.out_n, 0);
+        counts.clear();
+        counts.resize(tile * d.out_n, 0);
         for o in 0..d.out_n {
             kernels::mac_segment_tile(
                 run.kernel,
@@ -1835,23 +1489,17 @@ impl ScSimulator {
                 lanes,
                 o * d.in_n,
                 0,
-                &mut TileState {
-                    accs: &mut tile_accs[..tile * seg_words],
-                    in_group: &mut tile_in_group[..tile],
-                    sat: &mut tile_sat[..tile],
-                    phase: &mut tile_phase[..tile],
-                },
-                tile_counts,
+                accs,
+                counts,
                 d.out_n,
                 o,
                 stats,
             );
         }
-        (0..tile)
-            .map(|t| {
-                let row: Vec<f32> = (0..d.out_n)
-                    .map(|o| tile_counts[t * d.out_n + o] as f32 / m as f32)
-                    .collect();
+        counts
+            .chunks_exact(d.out_n)
+            .map(|row| {
+                let row: Vec<f32> = row.iter().map(|&c| c as f32 / m as f32).collect();
                 Ok(Tensor::from_vec(&[d.out_n], row)?)
             })
             .collect()
@@ -2025,6 +1673,7 @@ mod tests {
         let values: Vec<f32> = (0..25).map(|i| i as f32 / 24.0 - 0.2).collect();
         let segments = 4;
         let mut scratch = SimScratch::default();
+        let mut acts = ActBank::default();
         let m = sim.cfg.per_phase_len();
         sim.fill_activation_bank(
             &values,
@@ -2034,7 +1683,7 @@ mod tests {
             m,
             &mut scratch.full,
             &mut scratch.thresholds,
-            &mut scratch.acts,
+            &mut acts,
         )
         .unwrap();
         let seg_len = m / segments;
@@ -2047,17 +1696,13 @@ mod tests {
         let streams = bank.generate_many(&vals, m).unwrap();
         for (idx, s) in streams.iter().enumerate() {
             if s.count_ones() == 0 {
-                assert!(scratch.acts.is_gated(idx), "idx {idx} should be gated");
+                assert!(acts.gated[idx], "idx {idx} should be gated");
                 continue;
             }
-            assert!(!scratch.acts.is_gated(idx), "idx {idx} wrongly gated");
+            assert!(!acts.gated[idx], "idx {idx} wrongly gated");
             for e in 0..segments {
                 let old = s.slice(e * seg_len, seg_len);
-                assert_eq!(
-                    scratch.acts.segment(idx, e),
-                    old.as_words(),
-                    "idx {idx} seg {e}"
-                );
+                assert_eq!(acts.segment(idx, e), old.as_words(), "idx {idx} seg {e}");
             }
         }
     }
@@ -2153,18 +1798,37 @@ mod tests {
         assert_eq!(out.as_slice()[0], 0.0);
     }
 
+    /// Step labels of one timed tile-of-one run of `net` on `input`.
+    pub(super) fn timed_step_names(
+        sim: &ScSimulator,
+        net: &Network,
+        input: &Tensor,
+    ) -> Vec<String> {
+        let prepared = sim.prepare(net).unwrap();
+        let (_, timings) = sim
+            .run_prepared_tile_at_timed_with(
+                &prepared,
+                &[input],
+                &[sim.cfg.act_seed],
+                prepared.max_stream_len(),
+                &mut SimScratch::default(),
+            )
+            .unwrap();
+        timings.iter().map(|t| t.name.to_string()).collect()
+    }
+
     #[test]
-    fn traced_run_records_steps() {
+    fn timed_run_records_steps() {
         let mut net = Network::new();
         net.push_conv(Conv2d::new(1, 2, 3, 1, 1, AccumMode::OrApprox).unwrap());
         net.push_relu(Relu::clamped());
         net.push_flatten();
         net.push_dense(Dense::new(2 * 4 * 4, 3, AccumMode::OrApprox).unwrap());
         let sim = ScSimulator::new(cfg(128));
-        let trace = sim.run_traced(&net, &Tensor::zeros(&[1, 4, 4])).unwrap();
-        let names: Vec<&str> = trace.layers.iter().map(|l| l.name.as_str()).collect();
+        let input = Tensor::zeros(&[1, 4, 4]);
+        let names = timed_step_names(&sim, &net, &input);
         assert_eq!(names, vec!["conv0", "relu", "flatten", "dense1"]);
-        assert_eq!(trace.logits.shape(), &[3]);
+        assert_eq!(sim.run(&net, &input).unwrap().shape(), &[3]);
     }
 
     #[test]
@@ -2341,7 +2005,7 @@ mod tests {
     }
 
     #[test]
-    fn tiled_run_matches_solo_per_image() {
+    fn tiled_run_matches_per_image_runs() {
         let net = digit_like_net();
         let sim = ScSimulator::new(cfg(128));
         let prepared = sim.prepare(&net).unwrap();
@@ -2352,7 +2016,7 @@ mod tests {
             })
             .collect();
         let seeds: Vec<u32> = (0..3).map(|t| 0xACE1 + 17 * t).collect();
-        let solo: Vec<Tensor> = inputs
+        let single: Vec<Tensor> = inputs
             .iter()
             .zip(&seeds)
             .map(|(x, &s)| {
@@ -2363,7 +2027,7 @@ mod tests {
             .collect();
         let refs: Vec<&Tensor> = inputs.iter().collect();
         let tiled = sim.run_prepared_tile(&prepared, &refs, &seeds).unwrap();
-        assert_eq!(solo, tiled);
+        assert_eq!(single, tiled);
     }
 
     #[test]
@@ -2389,8 +2053,16 @@ mod tests {
         let sim = ScSimulator::new(cfg(128));
         let prepared = sim.prepare(&net).unwrap();
         let plain = sim.run_prepared(&prepared, &input).unwrap();
-        let (timed, timings) = sim.run_prepared_timed(&prepared, &input).unwrap();
-        assert_eq!(plain, timed);
+        let (timed, timings) = sim
+            .run_prepared_tile_at_timed_with(
+                &prepared,
+                &[&input],
+                &[sim.cfg.act_seed],
+                128,
+                &mut SimScratch::default(),
+            )
+            .unwrap();
+        assert_eq!(vec![plain], timed);
         let names: Vec<String> = timings.iter().map(|t| t.name.to_string()).collect();
         assert_eq!(names, prepared.step_names());
         assert_eq!(prepared.step_count(), 4);
@@ -2399,6 +2071,7 @@ mod tests {
 
 #[cfg(test)]
 mod residual_tests {
+    use super::tests::timed_step_names;
     use super::*;
     use crate::SimConfig;
     use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
@@ -2451,14 +2124,13 @@ mod residual_tests {
     }
 
     #[test]
-    fn residual_trace_includes_inner_steps() {
+    fn residual_timings_include_inner_steps() {
         let mut inner = Network::new();
         inner.push_conv(Conv2d::new(1, 1, 3, 1, 1, AccumMode::OrApprox).unwrap());
         let mut net = Network::new();
         net.push_residual(inner);
         let sim = ScSimulator::new(cfg(128));
-        let trace = sim.run_traced(&net, &Tensor::zeros(&[1, 4, 4])).unwrap();
-        let names: Vec<&str> = trace.layers.iter().map(|l| l.name.as_str()).collect();
+        let names = timed_step_names(&sim, &net, &Tensor::zeros(&[1, 4, 4]));
         assert_eq!(names, vec!["conv0", "residual"]);
     }
 
@@ -2475,15 +2147,14 @@ mod residual_tests {
     #[test]
     fn ordinals_are_unique_across_residual_boundaries() {
         // Two convs (one inside a residual) must draw distinct weight
-        // streams — verified by distinct trace names.
+        // streams — verified by distinct step names.
         let mut inner = Network::new();
         inner.push_conv(Conv2d::new(1, 1, 3, 1, 1, AccumMode::OrApprox).unwrap());
         let mut net = Network::new();
         net.push_conv(Conv2d::new(1, 1, 3, 1, 1, AccumMode::OrApprox).unwrap());
         net.push_residual(inner);
         let sim = ScSimulator::new(cfg(128));
-        let trace = sim.run_traced(&net, &Tensor::zeros(&[1, 4, 4])).unwrap();
-        let names: Vec<&str> = trace.layers.iter().map(|l| l.name.as_str()).collect();
+        let names = timed_step_names(&sim, &net, &Tensor::zeros(&[1, 4, 4]));
         assert_eq!(names, vec!["conv0", "conv1", "residual"]);
     }
 

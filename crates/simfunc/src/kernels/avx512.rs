@@ -1,73 +1,69 @@
 //! AVX-512 MAC kernel (x86-64 with `avx512f`, runtime-dispatched).
 //!
-//! The only SIMD tier: the merge loop runs 512 bits per step and the
-//! lockstep tile walk packs **8 images per register** — one image per
-//! 64-bit lane, with `vpcmpeqq`'s mask register giving the all-saturated
-//! early exit in a single compare. Group popcounts reuse the AVX2
-//! Mula/Harley-Seal kernel of `acoustic_core::bitstream` (dispatch requires
-//! `avx512f` *and* AVX2, see
+//! The only SIMD tier: the multi-word merge runs 512 bits per step and the
+//! single-word lockstep walk packs **8 images per register** — one image
+//! per 64-bit lane, with `vpcmpeqq`'s mask register giving the
+//! all-saturated early exit in a single compare. Group popcounts reuse the
+//! AVX2 Mula/Harley-Seal kernel of `acoustic_core::bitstream` (dispatch
+//! requires `avx512f` *and* AVX2, see
 //! [`avx512_available`](acoustic_core::bitstream::x86::avx512_available)).
-//! Segments under eight words and tiles under eight images delegate to the
-//! scalar kernel. Semantics are identical to [`scalar`]; equivalence is
-//! test-enforced.
+//! Multi-word segments walk the tile in the scalar kernel's image blocks of
+//! 8, 4, 2 and 1. Segments under eight words, grouped single-word segments
+//! and the sub-8-image tail of a lockstep tile run on the scalar kernel. Semantics
+//! are identical to [`scalar`]; equivalence is test-enforced.
 
 use acoustic_core::bitstream::x86::count_ones_words_avx2;
 
 use super::scalar::{self, is_saturated};
-use super::{KernelStats, PhaseArgs, TilePhaseArgs, TileState};
+use crate::banks::ActBank;
 
-/// Minimum words per segment before the 512-bit path pays for itself;
+use super::{KernelStats, TileOut, TilePhaseArgs};
+
+/// Minimum words per segment before the 512-bit merge pays for itself;
 /// narrower segments use the scalar kernel.
 const MIN_SIMD_WORDS: usize = 8;
 
 /// Images per 512-bit register in the lockstep tile walk.
 const TILE_LANES: usize = 8;
 
-/// One MAC phase over one segment (see [`scalar::mac_phase`]).
-pub(crate) fn mac_phase(args: &PhaseArgs<'_>, acc: &mut [u64], stats: &mut KernelStats) -> u64 {
-    if args.geom.seg_words < MIN_SIMD_WORDS {
-        return scalar::mac_phase(args, acc, stats);
-    }
-    // SAFETY: dispatch selects the AVX-512 kernel only on hosts where cpuid
-    // reported avx512f + AVX2 support (`active_kernel`).
-    unsafe { mac_phase_words(args, acc, stats) }
-}
-
 /// One tiled MAC phase (see [`scalar::mac_phase_tile`]).
+#[inline]
 pub(crate) fn mac_phase_tile(
     args: &TilePhaseArgs<'_>,
-    state: &mut TileState<'_>,
+    accs: &mut [u64],
+    out: &mut TileOut<'_>,
     stats: &mut KernelStats,
 ) {
     let geom = args.geom;
-    if geom.single_group() && geom.seg_words == 1 && args.banks.len() >= TILE_LANES {
-        let tile = args.banks.len();
-        state.phase[..tile].fill(0);
-        state.in_group[..tile].fill(0);
-        state.sat[..tile].fill(false);
-        state.accs[..tile * geom.seg_words].fill(0);
-        // SAFETY: as in `mac_phase` — avx512f presence verified at dispatch.
-        unsafe { mac_phase_tile_word_single(args, state, stats) };
-        return;
+    let tile = args.banks.len();
+    if geom.seg_words >= MIN_SIMD_WORDS {
+        let mut base = 0;
+        while base < tile {
+            // SAFETY: dispatch selects the AVX-512 kernel only on hosts where
+            // cpuid reported avx512f + AVX2 support (`active_kernel`).
+            base += unsafe { block!(tile - base, words_block(args, base, accs, out, stats)) };
+        }
+    } else if geom.seg_words == 1 && geom.single_group() && tile >= TILE_LANES {
+        // SAFETY: as above.
+        let base = unsafe { lockstep_blocks(args, out, stats) };
+        scalar::mac_phase_tile(args, base, accs, out, stats);
+    } else {
+        scalar::mac_phase_tile(args, 0, accs, out, stats);
     }
-    if geom.seg_words < MIN_SIMD_WORDS {
-        return scalar::mac_phase_tile(args, state, stats);
-    }
-    // SAFETY: as in `mac_phase` — avx512f presence verified at dispatch.
-    unsafe { mac_phase_tile_words(args, state, stats) }
 }
 
 /// Tile-vectorized lockstep walk: 8 images per 512-bit accumulator, one
-/// masked compare per lane for the all-saturated early exit, scalar tail
-/// for the final `tile % 8` images. Bit-identical to the scalar
-/// lockstep walk — AND/OR/popcount are exact in any order and gated/zero
-/// lanes hold all-zero words.
+/// masked compare per lane for the all-saturated early exit. Returns the
+/// first image after the last full 8-block; the caller runs the tail on the
+/// scalar blocks. Bit-identical to the scalar lockstep walk —
+/// AND/OR/popcount are exact in any order and gated/zero lanes hold
+/// all-zero words.
 #[target_feature(enable = "avx512f")]
-unsafe fn mac_phase_tile_word_single(
+unsafe fn lockstep_blocks(
     args: &TilePhaseArgs<'_>,
-    state: &mut TileState<'_>,
+    out: &mut TileOut<'_>,
     stats: &mut KernelStats,
-) {
+) -> usize {
     use std::arch::x86_64::*;
     let geom = args.geom;
     let tile = args.banks.len();
@@ -108,18 +104,18 @@ unsafe fn mac_phase_tile_word_single(
                 break;
             }
         }
-        let mut out = [0u64; TILE_LANES];
-        // SAFETY: `out` is 64 bytes; unaligned store is allowed.
-        _mm512_storeu_si512(out.as_mut_ptr().cast(), acc);
-        for (t, &acc_w) in out.iter().enumerate() {
-            state.phase[base + t] = u64::from(acc_w.count_ones());
+        let mut words = [0u64; TILE_LANES];
+        // SAFETY: `words` is 64 bytes; unaligned store is allowed.
+        _mm512_storeu_si512(words.as_mut_ptr().cast(), acc);
+        for (t, &acc_w) in words.iter().enumerate() {
+            out.add(base + t, u64::from(acc_w.count_ones()));
             if acc_w == geom.sat_mask {
                 stats.sat_group_exits += 1;
             }
         }
         base += TILE_LANES;
     }
-    scalar::mac_phase_tile_word_single_from(args, state, stats, base);
+    base
 }
 
 /// Fused `acc |= act & wgt` over equal-length word slices, 8 words per step.
@@ -145,89 +141,25 @@ unsafe fn merge(acc: &mut [u64], act: &[u64], wgt: &[u64]) {
     }
 }
 
-/// Multi-word solo phase; structure mirrors `scalar::mac_phase_words` with
-/// the merge and popcount vectorized.
+/// Multi-word block; structure mirrors `scalar::words_block` (including
+/// the all-saturated exit) with the merge and popcount vectorized.
 #[target_feature(enable = "avx512f")]
-unsafe fn mac_phase_words(args: &PhaseArgs<'_>, acc: &mut [u64], stats: &mut KernelStats) -> u64 {
-    let geom = args.geom;
-    let sw = geom.seg_words;
-    debug_assert_eq!(acc.len(), sw);
-    let single = geom.single_group();
-    let mut phase = 0u64;
-    let mut in_group = 0usize;
-    let mut saturated = false;
-    for (n, &(seg_idx, w_base)) in args.lanes.iter().enumerate() {
-        let w_idx = args.w_off + w_base;
-        if !args.present[w_idx] {
-            continue;
-        }
-        if saturated {
-            stats.sat_lanes_skipped += 1;
-        } else if args.seg_zero[seg_idx] {
-            stats.zero_seg_skips += 1;
-        } else {
-            stats.mac_lanes += 1;
-            let a_base = seg_idx * sw;
-            let wb = (args.w_slot(w_idx) * geom.segments + args.segment) * sw;
-            // SAFETY: caller guarantees avx512f (target_feature contract).
-            unsafe {
-                merge(
-                    acc,
-                    &args.act_words[a_base..a_base + sw],
-                    &args.bank_words[wb..wb + sw],
-                );
-            }
-            if is_saturated(acc, geom.sat_mask) {
-                saturated = true;
-                stats.sat_group_exits += 1;
-                if single {
-                    stats.sat_lanes_skipped += (args.lanes.len() - n - 1) as u64;
-                    acc.fill(0);
-                    return phase + geom.seg_len as u64;
-                }
-            }
-        }
-        in_group += 1;
-        if in_group == geom.group {
-            phase += if saturated {
-                geom.seg_len as u64
-            } else {
-                // SAFETY: dispatch verified AVX2 alongside avx512f.
-                unsafe { count_ones_words_avx2(acc) }
-            };
-            acc.fill(0);
-            in_group = 0;
-            saturated = false;
-        }
-    }
-    if in_group > 0 {
-        phase += if saturated {
-            geom.seg_len as u64
-        } else {
-            // SAFETY: as above.
-            unsafe { count_ones_words_avx2(acc) }
-        };
-        acc.fill(0);
-    }
-    phase
-}
-
-/// Multi-word tiled phase; structure mirrors `scalar::mac_phase_tile_general`
-/// with the merge and popcount vectorized.
-#[target_feature(enable = "avx512f")]
-unsafe fn mac_phase_tile_words(
+unsafe fn words_block<const B: usize>(
     args: &TilePhaseArgs<'_>,
-    state: &mut TileState<'_>,
+    base: usize,
+    accs: &mut [u64],
+    out: &mut TileOut<'_>,
     stats: &mut KernelStats,
-) {
+) -> usize {
     let geom = args.geom;
     let sw = geom.seg_words;
-    let tile = args.banks.len();
-    state.phase[..tile].fill(0);
-    state.in_group[..tile].fill(0);
-    state.sat[..tile].fill(false);
-    state.accs[..tile * sw].fill(0);
-    for &(a_idx, w_base) in args.lanes {
+    let banks: [&ActBank; B] = std::array::from_fn(|j| &args.banks[base + j]);
+    let accs = &mut accs[..B * sw];
+    let single = geom.single_group();
+    let mut in_group = [0usize; B];
+    let mut sat = [false; B];
+    let mut saturated = 0usize;
+    for (n, &(a_idx, w_base)) in args.lanes.iter().enumerate() {
         let w_idx = args.w_off + w_base;
         if !args.present[w_idx] {
             continue;
@@ -235,53 +167,60 @@ unsafe fn mac_phase_tile_words(
         let seg_idx = a_idx * geom.segments + args.segment;
         let a_base = seg_idx * sw;
         let wb = (args.w_slot(w_idx) * geom.segments + args.segment) * sw;
-        for (t, bank) in args.banks.iter().enumerate() {
-            if bank.gated[a_idx] {
+        let wgt = &args.bank_words[wb..wb + sw];
+        for (j, (bank, acc)) in banks.iter().zip(accs.chunks_exact_mut(sw)).enumerate() {
+            let zero = bank.seg_zero[seg_idx];
+            if zero && bank.gated[a_idx] {
                 continue;
             }
-            let acc = &mut state.accs[t * sw..(t + 1) * sw];
-            if state.sat[t] {
+            if sat[j] {
                 stats.sat_lanes_skipped += 1;
-            } else if bank.seg_zero[seg_idx] {
+            } else if zero {
                 stats.zero_seg_skips += 1;
             } else {
                 stats.mac_lanes += 1;
                 // SAFETY: caller guarantees avx512f (target_feature contract).
-                unsafe {
-                    merge(
-                        acc,
-                        &bank.words[a_base..a_base + sw],
-                        &args.bank_words[wb..wb + sw],
-                    );
-                }
+                unsafe { merge(acc, &bank.words[a_base..a_base + sw], wgt) };
                 if is_saturated(acc, geom.sat_mask) {
-                    state.sat[t] = true;
+                    sat[j] = true;
                     stats.sat_group_exits += 1;
+                    saturated += 1;
                 }
             }
-            state.in_group[t] += 1;
-            if state.in_group[t] as usize == geom.group {
-                state.phase[t] += if state.sat[t] {
+            in_group[j] += 1;
+            if in_group[j] == geom.group {
+                out.add(
+                    base + j,
+                    if sat[j] {
+                        geom.seg_len as u64
+                    } else {
+                        // SAFETY: dispatch verified AVX2 alongside avx512f.
+                        unsafe { count_ones_words_avx2(acc) }
+                    },
+                );
+                acc.fill(0);
+                in_group[j] = 0;
+                sat[j] = false;
+            }
+        }
+        if single && saturated == B {
+            stats.sat_lanes_skipped += ((args.lanes.len() - n - 1) * B) as u64;
+            break;
+        }
+    }
+    for (j, acc) in accs.chunks_exact_mut(sw).enumerate() {
+        if in_group[j] > 0 {
+            out.add(
+                base + j,
+                if sat[j] {
                     geom.seg_len as u64
                 } else {
-                    // SAFETY: dispatch verified AVX2 alongside avx512f.
+                    // SAFETY: as above.
                     unsafe { count_ones_words_avx2(acc) }
-                };
-                acc.fill(0);
-                state.in_group[t] = 0;
-                state.sat[t] = false;
-            }
+                },
+            );
+            acc.fill(0);
         }
     }
-    for t in 0..tile {
-        if state.in_group[t] > 0 {
-            let acc = &state.accs[t * sw..(t + 1) * sw];
-            state.phase[t] += if state.sat[t] {
-                geom.seg_len as u64
-            } else {
-                // SAFETY: as above.
-                unsafe { count_ones_words_avx2(acc) }
-            };
-        }
-    }
+    B
 }

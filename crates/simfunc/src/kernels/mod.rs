@@ -1,31 +1,41 @@
 //! Arch-aware MAC kernels behind a runtime dispatch layer.
 //!
 //! Every kernel computes the same function — one split-unipolar MAC phase
-//! over a pooling segment: AND each activation lane against its weight
-//! stream, OR the products into group accumulators, popcount at group
-//! boundaries — and every kernel is bit-identical to the portable scalar
-//! reference (test-enforced by `tests/kernel_equivalence.rs`).
+//! over a pooling segment for a *tile* of images: each weight word is
+//! loaded once and ANDed against every image's activation lane, products
+//! OR into per-image group accumulators, and groups popcount at their
+//! boundaries. This is the accelerator's dataflow (one weight stream
+//! broadcast across MAC units that each hold their own activations), and
+//! it is the only one: a lone image runs as a tile of one. Every kernel is
+//! bit-identical to the portable scalar reference (test-enforced by
+//! `tests/kernel_equivalence.rs`).
 //!
 //! Two paper-faithful skip optimizations apply to *all* kernels:
 //!
 //! * **OR-saturation short-circuit** — OR is idempotent and monotone, so
 //!   once a group's accumulator reaches all-ones (every in-segment bit set),
 //!   no further merge can change it and the group's final popcount is
-//!   already known to be `seg_len`. Remaining lanes in the group skip their
-//!   word work; with the whole fan-in in one group (`or_group: None`, the
-//!   ACOUSTIC fabric default) the lane loop exits outright.
+//!   already known to be `seg_len`. Remaining lanes of that image's group
+//!   skip their word work; with the whole fan-in in one group
+//!   (`or_group: None`, the ACOUSTIC fabric default) the lane walk of an
+//!   image block exits outright once every image of the block has
+//!   saturated.
 //! * **Zero-segment skipping** — a segment whose activation words are all
 //!   zero AND-multiplies to zero against any weight, so its merge is a
 //!   no-op. [`ActBank`](crate::banks::ActBank) precomputes these flags once
 //!   per image; zero lanes still consume their OR-group slot (slot
 //!   occupancy is part of the grouped-accumulator semantics).
 //!
+//! Kernels leave their accumulator state all-zero on exit, so a call costs
+//! only its lane walk — no per-call clearing.
+//!
 //! Two dispatchable tiers implement that contract:
 //!
-//! * [`scalar`] — the portable golden reference, running on every target;
-//!   accumulator in a register for single-word segments.
-//! * [`avx512`] — 512-bit merge packing 8 images per register in the
-//!   lockstep tile walk (x86-64 with `avx512f` only).
+//! * [`scalar`] — the portable golden reference, running on every target.
+//!   Single-word segments walk the tile in register blocks of 8, 4, 2 and
+//!   1 images, so accumulators never leave registers.
+//! * [`avx512`] — 512-bit merge, and 8 images per register in the
+//!   single-word lockstep walk (x86-64 with `avx512f` only).
 //!
 //! A tier earns its place only by beating scalar on a recorded zoo
 //! measurement (EXPERIMENTS.md): the SC datapath's wins come from the
@@ -34,6 +44,24 @@
 //! Tier selection happens at run time via `is_x86_feature_detected!`; an
 //! explicit AVX-512 request on a host without it resolves to scalar (never
 //! to an instruction set the host lacks).
+
+/// Widest image block a kernel walks with one weight load per lane.
+pub(crate) const MAX_BLOCK: usize = 8;
+
+/// Evaluates `$f::<B>(args..)` for the widest block width `B` in
+/// {8, 4, 2, 1} that fits `$rest` remaining images. Fixed widths keep each
+/// block's per-image state in registers; a tile of any size decomposes into
+/// such blocks.
+macro_rules! block {
+    ($rest:expr, $f:ident($($arg:expr),*)) => {
+        match $rest {
+            8.. => $f::<8>($($arg),*),
+            4..=7 => $f::<4>($($arg),*),
+            2 | 3 => $f::<2>($($arg),*),
+            _ => $f::<1>($($arg),*),
+        }
+    };
+}
 
 pub(crate) mod scalar;
 
@@ -209,9 +237,8 @@ impl HostFingerprint {
 }
 
 /// Kernel skip-work counters. Purely observational: values never feed back
-/// into results, and solo vs tiled execution may attribute skips
-/// differently (e.g. solo prefilters zero segments out of the lane list
-/// when the whole fan-in is one OR group, tiled runs skip them per image).
+/// into results. Lanes skipped by an all-images-saturated early exit count
+/// once per image of the kernel block that exited.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelStats {
     /// Lanes whose AND/OR word work actually ran.
@@ -271,40 +298,9 @@ impl SegGeom {
     }
 }
 
-/// Borrowed operands of one solo MAC phase over one segment.
-pub(crate) struct PhaseArgs<'a> {
-    pub geom: &'a SegGeom,
-    /// The image's activation word bank.
-    pub act_words: &'a [u64],
-    /// Per-segment zero flags of the activation bank (`seg_idx`-indexed).
-    pub seg_zero: &'a [bool],
-    /// The layer's canonical stream words (slot-major pool level).
-    pub bank_words: &'a [u64],
-    /// Whether each weight has a component in this phase.
-    pub present: &'a [bool],
-    /// Per-lane slot indices into `bank_words`. Only valid for `present`
-    /// lanes — kernels must check `present` before resolving a slot.
-    pub slots: &'a [u32],
-    /// Receptive-field lanes `(segment_index, weight_base)`, pre-filtered
-    /// of gated activations.
-    pub lanes: &'a [(usize, usize)],
-    /// Per-output-channel weight offset added to each lane's weight base.
-    pub w_off: usize,
-    /// Pooling segment executed by this call.
-    pub segment: usize,
-}
-
-impl PhaseArgs<'_> {
-    /// Resolves lane `w_idx` to its pool slot. Callers must have checked
-    /// `present[w_idx]` first.
-    #[inline(always)]
-    pub(crate) fn w_slot(&self, w_idx: usize) -> usize {
-        self.slots[w_idx] as usize
-    }
-}
-
 /// Borrowed operands of one tiled MAC phase over one segment: the same
-/// weight walk shared by every image of the tile.
+/// weight walk shared by every image of the tile (a lone image is a tile
+/// of one).
 pub(crate) struct TilePhaseArgs<'a> {
     pub geom: &'a SegGeom,
     /// Per-image activation banks (identical layout).
@@ -313,13 +309,16 @@ pub(crate) struct TilePhaseArgs<'a> {
     pub bank_words: &'a [u64],
     /// Whether each weight has a component in this phase.
     pub present: &'a [bool],
-    /// Per-lane slot indices; see [`PhaseArgs::slots`].
+    /// Per-lane slot indices into `bank_words`. Only valid for `present`
+    /// lanes — kernels must check `present` before resolving a slot.
     pub slots: &'a [u32],
     /// Receptive-field lanes `(activation_index, weight_base)`, *not*
     /// filtered of per-image gating (gating is applied per image inside
     /// the kernel; lanes gated in every image are dropped by the caller).
     pub lanes: &'a [(usize, usize)],
+    /// Per-output-channel weight offset added to each lane's weight base.
     pub w_off: usize,
+    /// Pooling segment executed by this call.
     pub segment: usize,
 }
 
@@ -332,73 +331,28 @@ impl TilePhaseArgs<'_> {
     }
 }
 
-/// Mutable per-image state of a tiled MAC phase, borrowed out of
-/// [`SimScratch`](crate::SimScratch).
-pub(crate) struct TileState<'a> {
-    /// `tile * seg_words` accumulator words.
-    pub accs: &'a mut [u64],
-    /// Per-image OR-group occupancy.
-    pub in_group: &'a mut [u32],
-    /// Per-image saturation flag of the group in flight.
-    pub sat: &'a mut [bool],
-    /// Per-image phase counts (output).
-    pub phase: &'a mut [u64],
+/// Destination of one phase's per-image ones counts: image `t` adds
+/// `sign * ones` into `counts[t * stride + offset]`.
+pub(crate) struct TileOut<'a> {
+    counts: &'a mut [i64],
+    stride: usize,
+    offset: usize,
+    sign: i64,
 }
 
-/// One solo split-unipolar MAC over a segment: both phases, OR accumulation
-/// with optional grouping and saturation/zero skipping, returning the
-/// signed count.
-///
-/// `acc` must hold `seg_words` zeroed words; kernels restore the all-zero
-/// state before returning, so one layer-level zeroing suffices.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn mac_segment(
-    kind: KernelKind,
-    geom: &SegGeom,
-    act_words: &[u64],
-    seg_zero: &[bool],
-    pos: PhaseView<'_>,
-    neg: PhaseView<'_>,
-    lanes: &[(usize, usize)],
-    w_off: usize,
-    segment: usize,
-    acc: &mut [u64],
-    stats: &mut KernelStats,
-) -> i64 {
-    let mut count = 0i64;
-    for (sign, view) in [(1i64, pos), (-1i64, neg)] {
-        let args = PhaseArgs {
-            geom,
-            act_words,
-            seg_zero,
-            bank_words: view.words,
-            present: view.present,
-            slots: view.slots,
-            lanes,
-            w_off,
-            segment,
-        };
-        count += sign * mac_phase(kind, &args, acc, stats) as i64;
-    }
-    count
-}
-
-fn mac_phase(
-    kind: KernelKind,
-    args: &PhaseArgs<'_>,
-    acc: &mut [u64],
-    stats: &mut KernelStats,
-) -> u64 {
-    match kind {
-        #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx512 => avx512::mac_phase(args, acc, stats),
-        _ => scalar::mac_phase(args, acc, stats),
+impl TileOut<'_> {
+    #[inline(always)]
+    pub(crate) fn add(&mut self, t: usize, ones: u64) {
+        self.counts[t * self.stride + self.offset] += self.sign * ones as i64;
     }
 }
 
 /// One tiled split-unipolar MAC over a segment: walks each weight word once
-/// and merges it into every image of the tile, accumulating the signed
-/// count of image `t` into `counts[t * stride + offset]`.
+/// per image block and merges it into every image of the block,
+/// accumulating the signed count of image `t` into
+/// `counts[t * stride + offset]`. `accs` holds at least
+/// `MAX_BLOCK * seg_words` zeroed words (multi-word scratch accumulators),
+/// returned zeroed.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn mac_segment_tile(
     kind: KernelKind,
@@ -409,7 +363,7 @@ pub(crate) fn mac_segment_tile(
     lanes: &[(usize, usize)],
     w_off: usize,
     segment: usize,
-    state: &mut TileState<'_>,
+    accs: &mut [u64],
     counts: &mut [i64],
     stride: usize,
     offset: usize,
@@ -426,23 +380,17 @@ pub(crate) fn mac_segment_tile(
             w_off,
             segment,
         };
-        mac_phase_tile(kind, &args, state, stats);
-        for (t, &p) in state.phase.iter().enumerate() {
-            counts[t * stride + offset] += sign * p as i64;
+        let mut out = TileOut {
+            counts,
+            stride,
+            offset,
+            sign,
+        };
+        match kind {
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Avx512 => avx512::mac_phase_tile(&args, accs, &mut out, stats),
+            _ => scalar::mac_phase_tile(&args, 0, accs, &mut out, stats),
         }
-    }
-}
-
-fn mac_phase_tile(
-    kind: KernelKind,
-    args: &TilePhaseArgs<'_>,
-    state: &mut TileState<'_>,
-    stats: &mut KernelStats,
-) {
-    match kind {
-        #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx512 => avx512::mac_phase_tile(args, state, stats),
-        _ => scalar::mac_phase_tile(args, state, stats),
     }
 }
 

@@ -1,209 +1,63 @@
 //! Portable scalar MAC kernel — the golden reference every other kernel
 //! must match bit-for-bit.
 //!
-//! Single-word segments (streams ≤ 64 bits per segment, the common LeNet
-//! shapes) keep the OR accumulator in a register; multi-word segments merge
-//! word-by-word into the caller's scratch accumulator. Both paths implement
-//! OR-saturation short-circuiting and zero-segment skipping (see the
-//! [module docs](crate::kernels) for why both are exact).
+//! Every path walks the tile in image blocks of 8, 4, 2 and 1: one weight
+//! load per lane serves the whole block, and the block's per-image state
+//! (single-word accumulators, OR-group slot counts, saturation flags) lives
+//! in fixed-size local arrays that stay in registers. Multi-word segments
+//! merge word-by-word into the caller's scratch accumulators. Every path
+//! implements OR-saturation short-circuiting and zero-segment skipping (see
+//! the [module docs](crate::kernels) for why both are exact) and leaves
+//! the scratch accumulators all-zero on exit.
 
 use acoustic_core::bitstream::count_ones_words;
 
-use super::{KernelStats, PhaseArgs, TilePhaseArgs, TileState};
+use crate::banks::ActBank;
 
-/// One MAC phase over one segment; returns the phase's ones count.
-///
-/// `acc` must hold `seg_words` zeroed words on entry and is returned
-/// zeroed.
-pub(crate) fn mac_phase(args: &PhaseArgs<'_>, acc: &mut [u64], stats: &mut KernelStats) -> u64 {
-    if args.geom.seg_words == 1 {
-        mac_phase_word(args, stats)
-    } else {
-        mac_phase_words(args, acc, stats)
-    }
-}
+use super::{KernelStats, TileOut, TilePhaseArgs};
 
-/// Single-word segments: the whole OR group lives in one register.
-fn mac_phase_word(args: &PhaseArgs<'_>, stats: &mut KernelStats) -> u64 {
-    let geom = args.geom;
-    let single = geom.single_group();
-    let mut phase = 0u64;
-    let mut acc_w = 0u64;
-    let mut in_group = 0usize;
-    let mut saturated = false;
-    for (n, &(seg_idx, w_base)) in args.lanes.iter().enumerate() {
-        let w_idx = args.w_off + w_base;
-        if !args.present[w_idx] {
-            continue; // weight has no component in this phase
-        }
-        if saturated {
-            stats.sat_lanes_skipped += 1;
-        } else {
-            let act = args.act_words[seg_idx];
-            if act == 0 {
-                stats.zero_seg_skips += 1;
-            } else {
-                stats.mac_lanes += 1;
-                let slot = args.w_slot(w_idx);
-                acc_w |= act & args.bank_words[slot * geom.segments + args.segment];
-                if acc_w == geom.sat_mask {
-                    saturated = true;
-                    stats.sat_group_exits += 1;
-                    if single {
-                        // One group for the whole fan-in: every remaining
-                        // lane ORs into an already-full accumulator, so the
-                        // final count is fixed — exit the lane loop.
-                        stats.sat_lanes_skipped += (args.lanes.len() - n - 1) as u64;
-                        return phase + geom.seg_len as u64;
-                    }
-                }
-            }
-        }
-        in_group += 1;
-        if in_group == geom.group {
-            phase += if saturated {
-                geom.seg_len as u64
-            } else {
-                u64::from(acc_w.count_ones())
-            };
-            acc_w = 0;
-            in_group = 0;
-            saturated = false;
-        }
-    }
-    if in_group > 0 {
-        phase += if saturated {
-            geom.seg_len as u64
-        } else {
-            u64::from(acc_w.count_ones())
-        };
-    }
-    phase
-}
-
-/// Whether a multi-word accumulator has every in-segment bit set.
+/// One tiled MAC phase over images `start..tile`; per-image ones counts go
+/// to `out`. `accs` holds at least `MAX_BLOCK * seg_words` zeroed words.
 #[inline]
-pub(super) fn is_saturated(acc: &[u64], sat_mask: u64) -> bool {
-    let (last, body) = acc.split_last().expect("accumulator is non-empty");
-    // The last word is the cheap filter: until a group nears saturation it
-    // almost never equals the mask, so the body scan rarely runs.
-    *last == sat_mask && body.iter().all(|&w| w == !0)
-}
-
-/// Multi-word segments: merge word-by-word into the scratch accumulator.
-fn mac_phase_words(args: &PhaseArgs<'_>, acc: &mut [u64], stats: &mut KernelStats) -> u64 {
-    let geom = args.geom;
-    let sw = geom.seg_words;
-    debug_assert_eq!(acc.len(), sw);
-    debug_assert!(
-        acc.iter().all(|&w| w == 0),
-        "accumulator must arrive zeroed"
-    );
-    let single = geom.single_group();
-    let mut phase = 0u64;
-    let mut in_group = 0usize;
-    let mut saturated = false;
-    for (n, &(seg_idx, w_base)) in args.lanes.iter().enumerate() {
-        let w_idx = args.w_off + w_base;
-        if !args.present[w_idx] {
-            continue;
-        }
-        if saturated {
-            stats.sat_lanes_skipped += 1;
-        } else if args.seg_zero[seg_idx] {
-            stats.zero_seg_skips += 1;
-        } else {
-            stats.mac_lanes += 1;
-            let a_base = seg_idx * sw;
-            let wb = (args.w_slot(w_idx) * geom.segments + args.segment) * sw;
-            let act = &args.act_words[a_base..a_base + sw];
-            let wgt = &args.bank_words[wb..wb + sw];
-            for ((acc_w, &aw), &ww) in acc.iter_mut().zip(act).zip(wgt) {
-                *acc_w |= aw & ww;
-            }
-            if is_saturated(acc, geom.sat_mask) {
-                saturated = true;
-                stats.sat_group_exits += 1;
-                if single {
-                    stats.sat_lanes_skipped += (args.lanes.len() - n - 1) as u64;
-                    acc.fill(0);
-                    return phase + geom.seg_len as u64;
-                }
-            }
-        }
-        in_group += 1;
-        if in_group == geom.group {
-            phase += if saturated {
-                geom.seg_len as u64
-            } else {
-                count_ones_words(acc)
-            };
-            acc.fill(0);
-            in_group = 0;
-            saturated = false;
-        }
-    }
-    if in_group > 0 {
-        phase += if saturated {
-            geom.seg_len as u64
-        } else {
-            count_ones_words(acc)
-        };
-        acc.fill(0);
-    }
-    phase
-}
-
-/// One tiled MAC phase: each weight word is loaded once and merged into
-/// every image of the tile.
 pub(crate) fn mac_phase_tile(
     args: &TilePhaseArgs<'_>,
-    state: &mut TileState<'_>,
-    stats: &mut KernelStats,
-) {
-    let geom = args.geom;
-    let tile = args.banks.len();
-    state.phase[..tile].fill(0);
-    state.in_group[..tile].fill(0);
-    state.sat[..tile].fill(false);
-    state.accs[..tile * geom.seg_words].fill(0);
-    if geom.single_group() && geom.seg_words == 1 {
-        mac_phase_tile_word_single(args, state, stats);
-        return;
-    }
-    mac_phase_tile_general(args, state, stats);
-}
-
-/// Lockstep fast path: single-word segments, whole fan-in in one OR group.
-/// Gated and all-zero lanes hold all-zero words, so merging them is a no-op
-/// and slot accounting is irrelevant (one group, one final popcount) —
-/// every image shares the unfiltered lane walk with *no per-image branches*
-/// in the inner loop: an unconditional OR is cheaper than predicting a skip,
-/// and a running AND of the accumulators detects the all-saturated exit.
-fn mac_phase_tile_word_single(
-    args: &TilePhaseArgs<'_>,
-    state: &mut TileState<'_>,
-    stats: &mut KernelStats,
-) {
-    mac_phase_tile_word_single_from(args, state, stats, 0);
-}
-
-/// The scalar lockstep walk over images `start..tile` (the AVX-512 kernel
-/// uses it for the sub-8-image tail of a tile).
-pub(super) fn mac_phase_tile_word_single_from(
-    args: &TilePhaseArgs<'_>,
-    state: &mut TileState<'_>,
-    stats: &mut KernelStats,
     start: usize,
+    accs: &mut [u64],
+    out: &mut TileOut<'_>,
+    stats: &mut KernelStats,
 ) {
     let geom = args.geom;
     let tile = args.banks.len();
-    let banks = &args.banks[start..tile];
-    let TileState { accs, phase, .. } = state;
-    let accs = &mut accs[start..tile];
-    if banks.is_empty() {
-        return;
+    let mut base = start;
+    while base < tile {
+        let rest = tile - base;
+        base += if geom.seg_words > 1 {
+            block!(rest, words_block(args, base, accs, out, stats))
+        } else if geom.single_group() {
+            block!(rest, lockstep_block(args, base, out, stats))
+        } else {
+            block!(rest, grouped_word_block(args, base, out, stats))
+        };
     }
+}
+
+/// Lockstep block: single-word segments, whole fan-in in one OR group,
+/// images `base..base + B`. Gated and all-zero lanes hold all-zero words,
+/// so merging them is a no-op and slot accounting is irrelevant (one group,
+/// one final popcount) — every image shares the unfiltered lane walk with
+/// *no per-image branches* in the inner loop: an unconditional OR is
+/// cheaper than predicting a skip, and a running AND of the accumulators
+/// detects the all-saturated exit. Returns `B`.
+fn lockstep_block<const B: usize>(
+    args: &TilePhaseArgs<'_>,
+    base: usize,
+    out: &mut TileOut<'_>,
+    stats: &mut KernelStats,
+) -> usize {
+    let geom = args.geom;
+    let banks: [&[u64]; B] = std::array::from_fn(|j| args.banks[base + j].words.as_slice());
+    let mut acc = [0u64; B];
+    let mut merged = 0u64;
     for (n, &(a_idx, w_base)) in args.lanes.iter().enumerate() {
         let w_idx = args.w_off + w_base;
         if !args.present[w_idx] {
@@ -215,38 +69,128 @@ pub(super) fn mac_phase_tile_word_single_from(
         // invariant), so the AND chain equals the mask exactly when every
         // image's group has saturated.
         let mut all = geom.sat_mask;
-        for (acc, bank) in accs.iter_mut().zip(banks) {
-            *acc |= bank.words[seg_idx] & w;
-            all &= *acc;
+        for (a, bank) in acc.iter_mut().zip(&banks) {
+            *a |= bank[seg_idx] & w;
+            all &= *a;
         }
-        stats.mac_lanes += banks.len() as u64;
+        merged += 1;
         if all == geom.sat_mask {
-            // Every image of the tile saturated: the rest of the weight
+            // Every image of the block saturated: the rest of the weight
             // walk is a no-op for all of them.
-            stats.sat_lanes_skipped += ((args.lanes.len() - n - 1) * banks.len()) as u64;
+            stats.sat_lanes_skipped += ((args.lanes.len() - n - 1) * B) as u64;
             break;
         }
     }
-    for (t, &acc) in accs.iter().enumerate() {
+    stats.mac_lanes += merged * B as u64;
+    for (j, &a) in acc.iter().enumerate() {
         // A saturated accumulator popcounts to `seg_len` by definition, so
         // no per-image saturation flags are needed.
-        phase[start + t] = u64::from(acc.count_ones());
-        if acc == geom.sat_mask {
+        out.add(base + j, u64::from(a.count_ones()));
+        if a == geom.sat_mask {
             stats.sat_group_exits += 1;
         }
     }
+    B
 }
 
-/// General tiled path: per-image gating, OR-group slot accounting, and
-/// saturation tracking — group boundaries may diverge between images.
-fn mac_phase_tile_general(
+/// Grouped block: single-word segments with OR groups narrower than the
+/// fan-in, images `base..base + B`. Group boundaries diverge between
+/// images (gated lanes never consume a slot), so each image keeps its own
+/// accumulator, slot count and saturation flag. Returns `B`.
+fn grouped_word_block<const B: usize>(
     args: &TilePhaseArgs<'_>,
-    state: &mut TileState<'_>,
+    base: usize,
+    out: &mut TileOut<'_>,
     stats: &mut KernelStats,
-) {
+) -> usize {
+    let geom = args.geom;
+    let gated: [&[bool]; B] = std::array::from_fn(|j| args.banks[base + j].gated.as_slice());
+    let words: [&[u64]; B] = std::array::from_fn(|j| args.banks[base + j].words.as_slice());
+    let mut acc = [0u64; B];
+    let mut in_group = [0usize; B];
+    let mut sat = [false; B];
+    let mut ones = [0u64; B];
+    for &(a_idx, w_base) in args.lanes {
+        let w_idx = args.w_off + w_base;
+        if !args.present[w_idx] {
+            continue;
+        }
+        let w = args.bank_words[args.w_slot(w_idx) * geom.segments + args.segment];
+        let seg_idx = a_idx * geom.segments + args.segment;
+        for j in 0..B {
+            // A single-word segment is zero exactly when its word is, and
+            // gated lanes are zero, so only zero lanes pay the gating load.
+            let act = words[j][seg_idx];
+            if act == 0 && gated[j][a_idx] {
+                continue; // gated lanes never consume an OR-group slot
+            }
+            if sat[j] {
+                stats.sat_lanes_skipped += 1;
+            } else if act == 0 {
+                stats.zero_seg_skips += 1;
+            } else {
+                stats.mac_lanes += 1;
+                acc[j] |= act & w;
+                if acc[j] == geom.sat_mask {
+                    sat[j] = true;
+                    stats.sat_group_exits += 1;
+                }
+            }
+            in_group[j] += 1;
+            if in_group[j] == geom.group {
+                // A saturated group counts `seg_len` without a popcount.
+                ones[j] += if sat[j] {
+                    geom.seg_len as u64
+                } else {
+                    u64::from(acc[j].count_ones())
+                };
+                acc[j] = 0;
+                in_group[j] = 0;
+                sat[j] = false;
+            }
+        }
+    }
+    for j in 0..B {
+        // An image with no group in flight has a zero accumulator.
+        out.add(base + j, ones[j] + u64::from(acc[j].count_ones()));
+    }
+    B
+}
+
+/// Whether a multi-word accumulator has every in-segment bit set.
+#[inline]
+pub(super) fn is_saturated(acc: &[u64], sat_mask: u64) -> bool {
+    let (last, body) = acc.split_last().expect("accumulator is non-empty");
+    // The last word is the cheap filter: until a group nears saturation it
+    // almost never equals the mask, so the body scan rarely runs.
+    *last == sat_mask && body.iter().all(|&w| w == !0)
+}
+
+/// Multi-word block, images `base..base + B`: per-image gating, OR-group
+/// slot accounting and saturation tracking, with the accumulators in the
+/// first `B * seg_words` words of `accs`. With the whole fan-in in one
+/// group, the walk exits once every image of the block has saturated.
+/// Returns `B`.
+fn words_block<const B: usize>(
+    args: &TilePhaseArgs<'_>,
+    base: usize,
+    accs: &mut [u64],
+    out: &mut TileOut<'_>,
+    stats: &mut KernelStats,
+) -> usize {
     let geom = args.geom;
     let sw = geom.seg_words;
-    for &(a_idx, w_base) in args.lanes {
+    let banks: [&ActBank; B] = std::array::from_fn(|j| &args.banks[base + j]);
+    let accs = &mut accs[..B * sw];
+    debug_assert!(
+        accs.iter().all(|&w| w == 0),
+        "accumulators must arrive zeroed"
+    );
+    let single = geom.single_group();
+    let mut in_group = [0usize; B];
+    let mut sat = [false; B];
+    let mut saturated = 0usize;
+    for (n, &(a_idx, w_base)) in args.lanes.iter().enumerate() {
         let w_idx = args.w_off + w_base;
         if !args.present[w_idx] {
             continue;
@@ -254,49 +198,61 @@ fn mac_phase_tile_general(
         let seg_idx = a_idx * geom.segments + args.segment;
         let a_base = seg_idx * sw;
         let wb = (args.w_slot(w_idx) * geom.segments + args.segment) * sw;
-        for (t, bank) in args.banks.iter().enumerate() {
-            if bank.gated[a_idx] {
+        let wgt = &args.bank_words[wb..wb + sw];
+        for (j, (bank, acc)) in banks.iter().zip(accs.chunks_exact_mut(sw)).enumerate() {
+            // Gated lanes are zero, so only zero lanes pay the gating load.
+            let zero = bank.seg_zero[seg_idx];
+            if zero && bank.gated[a_idx] {
                 continue; // gated lanes never consume an OR-group slot
             }
-            let acc = &mut state.accs[t * sw..(t + 1) * sw];
-            if state.sat[t] {
+            if sat[j] {
                 stats.sat_lanes_skipped += 1;
-            } else if bank.seg_zero[seg_idx] {
+            } else if zero {
                 stats.zero_seg_skips += 1;
             } else {
                 stats.mac_lanes += 1;
                 let act = &bank.words[a_base..a_base + sw];
-                let wgt = &args.bank_words[wb..wb + sw];
                 for ((acc_w, &aw), &ww) in acc.iter_mut().zip(act).zip(wgt) {
                     *acc_w |= aw & ww;
                 }
                 if is_saturated(acc, geom.sat_mask) {
-                    state.sat[t] = true;
+                    sat[j] = true;
                     stats.sat_group_exits += 1;
+                    saturated += 1;
                 }
             }
-            state.in_group[t] += 1;
-            if state.in_group[t] as usize == geom.group {
-                state.phase[t] += if state.sat[t] {
-                    geom.seg_len as u64
-                } else {
-                    count_ones_words(acc)
-                };
+            in_group[j] += 1;
+            if in_group[j] == geom.group {
+                out.add(base + j, group_ones(acc, sat[j], geom.seg_len));
                 acc.fill(0);
-                state.in_group[t] = 0;
-                state.sat[t] = false;
+                in_group[j] = 0;
+                sat[j] = false;
             }
         }
-    }
-    let tile = args.banks.len();
-    for t in 0..tile {
-        if state.in_group[t] > 0 {
-            let acc = &state.accs[t * sw..(t + 1) * sw];
-            state.phase[t] += if state.sat[t] {
-                geom.seg_len as u64
-            } else {
-                count_ones_words(acc)
-            };
+        // Group boundaries never occur with a single group, so `saturated`
+        // counts images whose only group is full: the rest of the walk is
+        // a no-op for the whole block.
+        if single && saturated == B {
+            stats.sat_lanes_skipped += ((args.lanes.len() - n - 1) * B) as u64;
+            break;
         }
+    }
+    for (j, acc) in accs.chunks_exact_mut(sw).enumerate() {
+        if in_group[j] > 0 {
+            out.add(base + j, group_ones(acc, sat[j], geom.seg_len));
+            acc.fill(0);
+        }
+    }
+    B
+}
+
+/// Ones count of a finished multi-word group: `seg_len` when saturated,
+/// otherwise its popcount.
+#[inline]
+fn group_ones(acc: &[u64], saturated: bool, seg_len: usize) -> u64 {
+    if saturated {
+        seg_len as u64
+    } else {
+        count_ones_words(acc)
     }
 }

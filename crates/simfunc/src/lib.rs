@@ -46,10 +46,7 @@ mod sim_error;
 
 pub use autotune::{TilePlan, DEFAULT_TILE, TILE_CANDIDATES};
 pub use banks::{DedupStats, SimScratch};
-pub use engine::{
-    LayerTrace, PrepareOptions, PreparedNetwork, RunTrace, ScSimulator, StepTiming,
-    PREPARE_THREADS_ENV,
-};
+pub use engine::{PrepareOptions, PreparedNetwork, ScSimulator, StepTiming, PREPARE_THREADS_ENV};
 pub use expected::{expected_accuracy, expected_logits};
 pub use kernels::{
     active_kernel, forced_kernel, HostFingerprint, KernelChoice, KernelKind, KernelStats,

@@ -9,9 +9,10 @@
 //!   variants, and stream lengths spanning single-word up to 8-word
 //!   segments (the AVX-512 multi-word threshold).
 //! * **Tiling** — `run_prepared_tile*` for tile sizes up to 16 (past the
-//!   8-image AVX-512 lockstep block width) vs the solo per-image path, for
-//!   every kernel choice, including an all-zero image (every lane gated)
-//!   and a shortened stream-length prefix.
+//!   8-image AVX-512 lockstep block width) vs tiles of one, for every
+//!   kernel choice, single- and multi-word segments and both OR-group
+//!   modes, including an all-zero image (every lane gated) and a
+//!   shortened stream-length prefix.
 //! * **Override** — the `ACOUSTIC_FORCE_KERNEL` environment variable,
 //!   which must pin dispatch to the named tier, fall back to scalar on
 //!   hosts lacking it, and still produce scalar-identical logits (checked
@@ -124,7 +125,7 @@ fn auto_kernel_matches_scalar_across_config_matrix() {
 }
 
 /// The explicit AVX-512 tier (scalar on hosts without it) is bit-identical
-/// to the scalar reference on the solo path, across stream lengths from
+/// to the scalar reference on single images, across stream lengths from
 /// single-word segments up to 8-word segments — the AVX-512 multi-word
 /// threshold, reached by the dense layer at a total stream length of 1024.
 #[test]
@@ -160,65 +161,98 @@ fn avx512_tier_matches_scalar_across_lengths() {
     }
 }
 
-/// Tiled execution is bit-identical to the solo path for every tile size
-/// and every kernel choice — including an all-zero image whose lanes are
-/// all gated, and tile sizes past the 8-image AVX-512 lockstep block width
-/// (so block + tail paths both run).
+/// A dense-only net whose wide, strongly weighted fan-in saturates its OR
+/// groups: at stream 1024 its 8-word segments run the AVX-512 multi-word
+/// path, so the all-saturated early exit there is exercised.
+fn saturating_net() -> Network {
+    let mut net = Network::new();
+    net.push_flatten();
+    let mut fc = Dense::new(64, 4, AccumMode::OrApprox).unwrap();
+    for (i, w) in fc.weights_mut().iter_mut().enumerate() {
+        *w = if i % 7 == 0 { -0.9 } else { 0.9 };
+    }
+    net.push_dense(fc);
+    net
+}
+
+/// Every tile size is bit-identical to tiles of one, for every kernel
+/// choice, at single-word (128) and multi-word (1024) stream lengths, with
+/// the whole fan-in in one OR group and with narrow groups — so the
+/// lockstep, grouped single-word, scalar multi-word and AVX-512 multi-word
+/// paths (with their all-saturated early exits) all run. An all-zero image
+/// whose lanes are all gated sits mid-tile, and tile sizes past the 8-image
+/// AVX-512 lockstep block width make block + tail paths both run.
 #[test]
-fn tiled_matches_solo_across_tile_sizes_and_kernels() {
-    let net = build_net();
-    let mut inputs = test_inputs(12);
+fn tiled_matches_tiles_of_one_across_tile_sizes_and_kernels() {
+    let mut inputs = test_inputs(18);
     inputs[3] = Tensor::zeros(&[1, 8, 8]); // fully gated image mid-tile
-    let seeds: Vec<u32> = (0..12).map(|i| 0x5EED + 31 * i).collect();
+    let seeds: Vec<u32> = (0..18).map(|i| 0x5EED + 31 * i).collect();
     let mut scratch = SimScratch::default();
-    for kernel in [
-        KernelChoice::Scalar,
-        KernelChoice::Avx512,
-        KernelChoice::Auto,
-    ] {
-        let base = cfg(128, kernel);
-        let sim = ScSimulator::new(base);
-        let prepared = sim.prepare(&net).unwrap();
-        let solo: Vec<Tensor> = inputs
-            .iter()
-            .zip(&seeds)
-            .map(|(x, &s)| {
-                ScSimulator::new(SimConfig {
-                    act_seed: s,
-                    ..base
-                })
-                .run_prepared_with(&prepared, x, &mut scratch)
-                .unwrap()
-            })
-            .collect();
-        for tile in [1usize, 2, 3, 4, 8, 12, 16] {
-            for (lo, (xs, ss)) in inputs
-                .chunks(tile)
-                .zip(seeds.chunks(tile))
-                .enumerate()
-                .map(|(t, c)| (t * tile, c))
-            {
-                let refs: Vec<&Tensor> = xs.iter().collect();
-                let got = sim
-                    .run_prepared_tile_with(&prepared, &refs, ss, &mut scratch)
-                    .unwrap();
-                for (off, g) in got.iter().enumerate() {
-                    assert_eq!(
-                        g.as_slice(),
-                        solo[lo + off].as_slice(),
-                        "tiled logits diverged: kernel={kernel:?} tile={tile} image={}",
-                        lo + off
-                    );
+    let mut multi_word_exits = 0u64;
+    for (name, net) in [("conv", build_net()), ("saturating", saturating_net())] {
+        for stream_len in [128, 1024] {
+            for or_group in [None, Some(3)] {
+                for kernel in [
+                    KernelChoice::Scalar,
+                    KernelChoice::Avx512,
+                    KernelChoice::Auto,
+                ] {
+                    let base = SimConfig {
+                        or_group,
+                        ..cfg(stream_len, kernel)
+                    };
+                    let sim = ScSimulator::new(base);
+                    let prepared = sim.prepare(&net).unwrap();
+                    scratch.take_kernel_stats();
+                    let single: Vec<Tensor> = inputs
+                        .iter()
+                        .zip(&seeds)
+                        .map(|(x, &s)| {
+                            sim.run_prepared_tile_with(&prepared, &[x], &[s], &mut scratch)
+                                .unwrap()
+                                .remove(0)
+                        })
+                        .collect();
+                    if name == "saturating" && stream_len == 1024 && or_group.is_none() {
+                        multi_word_exits += scratch.take_kernel_stats().sat_lanes_skipped;
+                    }
+                    for tile in [1usize, 2, 3, 8, 9, 16] {
+                        for (lo, (xs, ss)) in inputs
+                            .chunks(tile)
+                            .zip(seeds.chunks(tile))
+                            .enumerate()
+                            .map(|(t, c)| (t * tile, c))
+                        {
+                            let refs: Vec<&Tensor> = xs.iter().collect();
+                            let got = sim
+                                .run_prepared_tile_with(&prepared, &refs, ss, &mut scratch)
+                                .unwrap();
+                            for (off, g) in got.iter().enumerate() {
+                                assert_eq!(
+                                    g.as_slice(),
+                                    single[lo + off].as_slice(),
+                                    "tiled logits diverged: net={name} stream={stream_len} \
+                                     or_group={or_group:?} kernel={kernel:?} tile={tile} \
+                                     image={}",
+                                    lo + off
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }
     }
+    assert!(
+        multi_word_exits > 0,
+        "the saturating net never took the multi-word all-saturated exit"
+    );
 }
 
-/// Tiled prefix execution (`run_prepared_tile_at_with`) matches the solo
-/// prefix path at a shortened stream length.
+/// Tiled prefix execution (`run_prepared_tile_at_with`) matches the
+/// single-image prefix path at a shortened stream length.
 #[test]
-fn tiled_prefix_matches_solo_prefix() {
+fn tiled_prefix_matches_single_image_prefix() {
     let net = build_net();
     let inputs = test_inputs(4);
     let seeds = [7u32, 8, 9, 10];
