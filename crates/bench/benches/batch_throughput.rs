@@ -5,6 +5,13 @@
 //! single-threaded logits bit-for-bit, then writes the sweep to
 //! `results/BENCH_runtime.json`. Pass `--quick` (or set
 //! `ACOUSTIC_BENCH_QUICK`) for a smaller batch.
+//!
+//! Two gates keep the sweep honest about parallelism. Every mode asserts
+//! that 2 workers split the batch into at least 2 tiles (scheduling
+//! units), so the second worker has something to run. The full mode also
+//! fails when the host has at least 2 CPUs and the 2-worker throughput is
+//! below [`MIN_SPEEDUP_2W`] × the 1-worker figure; `--quick` skips that
+//! timing gate, since its batch is too small to time reliably.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -12,10 +19,14 @@ use std::time::Instant;
 use acoustic_bench::harness::json_string;
 use acoustic_nn::layers::AccumMode;
 use acoustic_nn::train::Sample;
-use acoustic_runtime::{BatchEngine, ModelCache, PreparedModel};
+use acoustic_runtime::{BatchEngine, BatchReport, ModelCache, PreparedModel};
 use acoustic_simfunc::SimConfig;
 
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
+
+/// Least 2-worker / 1-worker throughput ratio the full mode accepts on a
+/// host with at least 2 CPUs.
+const MIN_SPEEDUP_2W: f64 = 1.5;
 
 struct SweepPoint {
     workers: usize,
@@ -23,12 +34,13 @@ struct SweepPoint {
     wall_secs: f64,
     cpu_busy_secs: f64,
     accuracy: f64,
+    tiles: u64,
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick")
         || std::env::var_os("ACOUSTIC_BENCH_QUICK").is_some();
-    let (batch, stream_len, repeats) = if quick { (8, 64, 1) } else { (32, 128, 3) };
+    let (batch, stream_len, repeats) = if quick { (8, 64, 1) } else { (32, 128, 10) };
 
     let net = acoustic_bench::models::lenet5(AccumMode::OrApprox).unwrap();
     let samples: Vec<Sample> = acoustic_datasets::mnist_like(batch, 7, 10).train;
@@ -47,27 +59,36 @@ fn main() {
     let inputs: Vec<_> = samples.iter().map(|(x, _)| x.clone()).collect();
     let reference = BatchEngine::new(1).unwrap().run(&model, &inputs).unwrap();
 
-    let mut points = Vec::new();
-    for workers in WORKER_SWEEP {
-        let engine = BatchEngine::new(workers).unwrap();
+    let engines = WORKER_SWEEP.map(|workers| BatchEngine::new(workers).unwrap());
+    for engine in &engines {
         let logits = engine.run(&model, &inputs).unwrap();
         assert_eq!(
-            logits, reference,
-            "{workers}-worker logits diverged from single-threaded"
+            logits,
+            reference,
+            "{}-worker logits diverged from single-threaded",
+            engine.workers()
         );
+    }
 
-        let mut best: Option<acoustic_runtime::BatchReport> = None;
-        for _ in 0..repeats {
+    // Repeats go round-robin over the sweep, so a burst of interference
+    // from other work on the host slows every worker count alike instead
+    // of one.
+    let mut best: [Option<BatchReport>; WORKER_SWEEP.len()] = Default::default();
+    for _ in 0..repeats {
+        for (slot, engine) in best.iter_mut().zip(&engines) {
             let report = engine.evaluate(&model, &samples).unwrap();
-            if best
+            if slot
                 .as_ref()
-                .map(|b| report.images_per_sec > b.images_per_sec)
-                .unwrap_or(true)
+                .is_none_or(|b| report.images_per_sec > b.images_per_sec)
             {
-                best = Some(report);
+                *slot = Some(report);
             }
         }
-        let report = best.unwrap();
+    }
+
+    let mut points = Vec::new();
+    for (workers, report) in WORKER_SWEEP.into_iter().zip(best) {
+        let report = report.unwrap();
         println!(
             "workers={workers}: {:.2} images/s (wall {:.3}s, cpu-busy {:.3}s), accuracy {:.2}%",
             report.images_per_sec,
@@ -81,10 +102,27 @@ fn main() {
             wall_secs: report.wall.as_secs_f64(),
             cpu_busy_secs: report.cpu_busy.as_secs_f64(),
             accuracy: report.accuracy,
+            tiles: report.kernel.tiles,
         });
     }
 
-    let json = to_json(&model, batch, stream_len, prepare_secs, &points);
+    let at = |w: usize| points.iter().find(|p| p.workers == w).unwrap();
+    let tiles_2w = at(2).tiles;
+    assert!(
+        tiles_2w >= 2,
+        "2 workers ran the {batch}-image batch as {tiles_2w} tile(s): the second worker idled"
+    );
+    let speedup_2w = at(2).images_per_sec / at(1).images_per_sec;
+    let cpus = acoustic_runtime::default_workers();
+    println!("2-worker speedup: {speedup_2w:.2}x ({tiles_2w} tiles, {cpus} CPUs available)");
+    if !quick && cpus >= 2 {
+        assert!(
+            speedup_2w >= MIN_SPEEDUP_2W,
+            "2-worker speedup {speedup_2w:.2}x is below {MIN_SPEEDUP_2W}x on a {cpus}-CPU host"
+        );
+    }
+
+    let json = to_json(&model, batch, stream_len, prepare_secs, speedup_2w, &points);
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../results/BENCH_runtime.json"
@@ -101,6 +139,7 @@ fn to_json(
     batch: usize,
     stream_len: usize,
     prepare_secs: f64,
+    speedup_2w: f64,
     points: &[SweepPoint],
 ) -> String {
     let mut out = String::from("{\n");
@@ -129,13 +168,14 @@ fn to_json(
         "    \"available_parallelism\": {},",
         acoustic_runtime::default_workers()
     );
+    let _ = writeln!(out, "    \"speedup_2w\": {speedup_2w:.3},");
     out.push_str("    \"sweep\": [\n");
     for (i, p) in points.iter().enumerate() {
         let _ = write!(
             out,
             "      {{\"workers\": {}, \"images_per_sec\": {:.3}, \"wall_secs\": {:.6}, \
-             \"cpu_busy_secs\": {:.6}, \"accuracy\": {:.4}}}",
-            p.workers, p.images_per_sec, p.wall_secs, p.cpu_busy_secs, p.accuracy
+             \"cpu_busy_secs\": {:.6}, \"accuracy\": {:.4}, \"tiles\": {}}}",
+            p.workers, p.images_per_sec, p.wall_secs, p.cpu_busy_secs, p.accuracy, p.tiles
         );
         out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
     }

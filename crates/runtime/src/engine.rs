@@ -1,12 +1,19 @@
 //! The deterministic batch-inference engine.
 //!
 //! A [`BatchEngine`] runs a batch of images through one shared
-//! [`PreparedModel`] on a fixed-size pool of `std::thread` workers. Work is
-//! distributed by chunked index claiming over an atomic cursor, so load
-//! balances dynamically — but every per-image result depends only on
-//! `(model, image_index, input)`, never on which worker computed it, and
-//! results are merged back in index order. Batch output is therefore
-//! bit-identical for any worker count.
+//! [`PreparedModel`] on a fixed-size pool of `std::thread` workers. A batch
+//! is cut into tiles (scheduling units) before dispatch, and each worker
+//! claims one unit at a time from an atomic cursor, so load balances
+//! dynamically — but every per-image result depends only on
+//! `(model, image_index, input)`, never on which worker computed it or which
+//! tile it rode in, and results are merged back in index order. Batch output
+//! is therefore bit-identical for any worker count.
+//!
+//! Unit width is `min(tile, ceil(n / workers))` for a batch of `n` images,
+//! where `tile` is the model's autotuned plan tile or the
+//! [`BatchEngine::with_tile_size`] override: wide enough to share each
+//! weight-bank walk across a tile, narrow enough that every worker gets a
+//! unit.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -16,9 +23,6 @@ use acoustic_nn::Tensor;
 use acoustic_simfunc::{KernelStats, SimError, SimScratch, StepTiming};
 
 use crate::{BatchReport, ExitPolicy, KernelCounters, LayerTiming, PreparedModel, RuntimeError};
-
-/// Default number of images a worker claims per queue access.
-const DEFAULT_CHUNK: usize = 8;
 
 // Tile width — how many images share one weight-bank walk on the
 // fixed-length (non-adaptive) paths — is no longer a fixed constant: each
@@ -94,7 +98,6 @@ const MARGIN_OVERRIDE_TEMPLATE: ExitPolicy = ExitPolicy {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchEngine {
     workers: usize,
-    chunk_size: usize,
     /// Explicit tile-width override; `None` follows each model's autotuned
     /// [`TilePlan`](acoustic_simfunc::TilePlan).
     tile_size: Option<usize>,
@@ -115,29 +118,9 @@ impl BatchEngine {
         }
         Ok(BatchEngine {
             workers,
-            chunk_size: DEFAULT_CHUNK,
             tile_size: None,
             exit_policy: None,
         })
-    }
-
-    /// Overrides how many images a worker claims per queue access.
-    ///
-    /// Smaller chunks balance better across uneven images; larger chunks
-    /// reduce queue contention. Chunking never affects results, only
-    /// scheduling.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::InvalidConfig`] if `chunk_size` is zero.
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Result<Self, RuntimeError> {
-        if chunk_size == 0 {
-            return Err(RuntimeError::InvalidConfig(
-                "chunk size must be at least 1".into(),
-            ));
-        }
-        self.chunk_size = chunk_size;
-        Ok(self)
     }
 
     /// Pins how many images share one weight-bank walk on the fixed-length
@@ -145,6 +128,10 @@ impl BatchEngine {
     /// [`BatchEngine::run_ready`] requests), overriding each model's
     /// autotuned [`TilePlan`](acoustic_simfunc::TilePlan). `1` runs
     /// every image as a tile of one.
+    ///
+    /// The pinned width is an upper bound: a batch of `n` images on `w`
+    /// workers runs in tiles of `min(tile_size, ceil(n / w))`, so every
+    /// worker gets a scheduling unit.
     ///
     /// Tiling never affects results: every tile size is bit-identical to
     /// tiles of one at the same seed indices (the kernel layer's tiling
@@ -172,9 +159,19 @@ impl BatchEngine {
     }
 
     /// The tile width used for `model`: the explicit override when pinned,
-    /// the model's autotuned plan otherwise.
+    /// the model's autotuned plan otherwise. A batch may run in narrower
+    /// tiles so every worker gets one (see [`BatchEngine::with_tile_size`]).
     pub fn effective_tile(&self, model: &PreparedModel) -> usize {
         self.tile_size.unwrap_or_else(|| model.plan().tile)
+    }
+
+    /// Scheduling-unit width for a batch of `n` images:
+    /// `min(effective_tile, ceil(n / workers))`, at least 1. A pure function
+    /// of `(model plan or override, n, workers)`, computed before dispatch.
+    fn unit_width(&self, model: &PreparedModel, n: usize) -> usize {
+        self.effective_tile(model)
+            .min(n.div_ceil(self.workers))
+            .max(1)
     }
 
     /// Attaches an early-exit policy; the engine runs each image at the
@@ -230,15 +227,15 @@ impl BatchEngine {
         let tally = TileTally::default();
         match self.exit_policy {
             Some(policy) => {
-                let (pairs, _, _) = self.dispatch(model, inputs.len(), |i, scratch| {
+                let (pairs, _, _) = self.dispatch(inputs.len(), |i, scratch| {
                     run_adaptive(model, &policy, i as u64, &inputs[i], scratch, &tally, None)
                 })?;
                 Ok(pairs.into_iter().map(|(logits, _)| logits).collect())
             }
             None => {
                 let full_len = model.max_stream_len();
-                let tiles = consecutive_tiles(inputs.len(), self.effective_tile(model));
-                let (per_tile, _, _) = self.dispatch(model, tiles.len(), |ti, scratch| {
+                let tiles = consecutive_tiles(inputs.len(), self.unit_width(model, inputs.len()));
+                let (per_tile, _, _) = self.dispatch(tiles.len(), |ti, scratch| {
                     let (lo, hi) = tiles[ti];
                     let idxs: Vec<u64> = (lo..hi).map(|i| i as u64).collect();
                     let refs: Vec<&Tensor> = inputs[lo..hi].iter().collect();
@@ -332,10 +329,10 @@ impl BatchEngine {
             requests,
             &self.exit_policy,
             model.max_stream_len(),
-            self.effective_tile(model),
+            self.unit_width(model, requests.len()),
         );
         let tally = TileTally::default();
-        let (per_unit, _, stats) = self.dispatch(model, units.len(), |ui, scratch| {
+        let (per_unit, _, stats) = self.dispatch(units.len(), |ui, scratch| {
             // Per-request isolation: errors ride in their slot, never
             // abort the batch.
             let out: Vec<(usize, Result<ReadyOutcome, SimError>)> = match &units[ui] {
@@ -415,11 +412,11 @@ impl BatchEngine {
         let tile = if policy.is_some() {
             1
         } else {
-            self.effective_tile(model)
+            self.unit_width(model, samples.len())
         };
         let tiles = consecutive_tiles(samples.len(), tile);
         let tally = TileTally::default();
-        let (per_tile, cpu_busy, stats) = self.dispatch(model, tiles.len(), |ti, scratch| {
+        let (per_tile, cpu_busy, stats) = self.dispatch(tiles.len(), |ti, scratch| {
             let (lo, hi) = tiles[ti];
             // Every executed pass is a real execution; count each one.
             let mut passes: Vec<Vec<StepTiming>> = Vec::new();
@@ -513,7 +510,8 @@ impl BatchEngine {
         })
     }
 
-    /// Maps `job` over `0..count`, merging results in index order.
+    /// Maps `job` over `0..count`, merging results in index order. Each
+    /// worker claims one index (one scheduling unit) per cursor access.
     ///
     /// Each worker owns one [`SimScratch`] for its whole lifetime, so batch
     /// execution amortizes per-image buffer allocation to zero. Scratch
@@ -524,7 +522,7 @@ impl BatchEngine {
     /// and the summed kernel skip counters of every worker scratch. On
     /// failure, reports the error of the *lowest* failing index so error
     /// reporting is as deterministic as the results.
-    fn dispatch<T, F>(&self, _model: &PreparedModel, count: usize, job: F) -> DispatchResult<T>
+    fn dispatch<T, F>(&self, count: usize, job: F) -> DispatchResult<T>
     where
         T: Send,
         F: Fn(usize, &mut SimScratch) -> Result<T, SimError> + Sync,
@@ -548,7 +546,6 @@ impl BatchEngine {
 
         let cursor = AtomicUsize::new(0);
         let workers = self.workers.min(count);
-        let chunk = self.chunk_size;
         let job = &job;
         let worker_outputs = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -558,13 +555,11 @@ impl BatchEngine {
                         let mut scratch = SimScratch::default();
                         let mut mine: Vec<(usize, Result<T, SimError>)> = Vec::new();
                         loop {
-                            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            if lo >= count {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= count {
                                 break;
                             }
-                            for i in lo..(lo + chunk).min(count) {
-                                mine.push((i, job(i, &mut scratch)));
-                            }
+                            mine.push((i, job(i, &mut scratch)));
                         }
                         (mine, started.elapsed(), scratch.take_kernel_stats())
                     })
@@ -804,9 +799,8 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_workers_and_zero_chunk() {
+    fn rejects_zero_workers_and_zero_tile() {
         assert!(BatchEngine::new(0).is_err());
-        assert!(BatchEngine::new(2).unwrap().with_chunk_size(0).is_err());
         assert!(BatchEngine::new(2).unwrap().with_tile_size(0).is_err());
         // No explicit override by default — the engine follows each model's
         // autotuned plan.
@@ -848,17 +842,66 @@ mod tests {
     fn run_is_worker_count_invariant() {
         let model =
             PreparedModel::compile(SimConfig::with_stream_len(64).unwrap(), &small_net()).unwrap();
-        let xs = inputs(11);
-        let serial = BatchEngine::new(1).unwrap().run(&model, &xs).unwrap();
-        for workers in [2, 3, 8] {
-            let parallel = BatchEngine::new(workers)
+        // Batches that split evenly, unevenly, and into fewer images than
+        // workers; pinned tiles below, at and above the split width.
+        for n in [1, 7, 64, 65] {
+            let xs = inputs(n);
+            let samples: Vec<Sample> = xs.iter().cloned().map(|x| (x, 0)).collect();
+            let serial = BatchEngine::new(1)
                 .unwrap()
-                .with_chunk_size(2)
+                .with_tile_size(1)
                 .unwrap()
                 .run(&model, &xs)
                 .unwrap();
-            assert_eq!(serial, parallel, "workers={workers}");
+            for workers in [1, 2, 3, 8] {
+                for tile in [1, 8, 64] {
+                    let engine = BatchEngine::new(workers)
+                        .unwrap()
+                        .with_tile_size(tile)
+                        .unwrap();
+                    let parallel = engine.run(&model, &xs).unwrap();
+                    assert_eq!(serial, parallel, "n={n} workers={workers} tile={tile}");
+                    // Units are `min(tile, ceil(n / workers))` wide.
+                    let width = tile.min(n.div_ceil(workers));
+                    let report = engine.evaluate(&model, &samples).unwrap();
+                    assert_eq!(
+                        report.kernel.tiles,
+                        n.div_ceil(width) as u64,
+                        "n={n} workers={workers} tile={tile}"
+                    );
+                    assert_eq!(report.kernel.tiled_images, n as u64);
+                }
+            }
         }
+    }
+
+    #[test]
+    fn full_plan_tile_still_splits_across_workers() {
+        // One plan-wide tile holding the whole batch would leave every
+        // worker but one idle; the batch must split into a unit per worker.
+        let model =
+            PreparedModel::compile(SimConfig::with_stream_len(64).unwrap(), &small_net()).unwrap();
+        let xs = inputs(64);
+        let samples: Vec<Sample> = xs.iter().cloned().map(|x| (x, 0)).collect();
+        let serial = BatchEngine::new(1).unwrap().with_tile_size(64).unwrap();
+        let engine = BatchEngine::new(2).unwrap().with_tile_size(64).unwrap();
+
+        let report = engine.evaluate(&model, &samples).unwrap();
+        assert!(report.kernel.tiles >= 2, "tiles={}", report.kernel.tiles);
+        assert_eq!(report.kernel.tiled_images, 64);
+        assert_eq!(
+            engine.run(&model, &xs).unwrap(),
+            serial.run(&model, &xs).unwrap()
+        );
+
+        let reqs: Vec<ReadyRequest> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| ReadyRequest::plain(i as u64, x))
+            .collect();
+        let (_, counters) = engine.run_ready_counted(&model, &reqs).unwrap();
+        assert!(counters.tiles >= 2, "tiles={}", counters.tiles);
+        assert_eq!(counters.tiled_images, 64);
     }
 
     #[test]
@@ -884,8 +927,9 @@ mod tests {
         // Prepared net with clamped relu folded: conv, relu, flatten, dense.
         assert_eq!(report.layer_timings.len(), model.prepared().step_count());
         // Fixed-length evaluation tiles consecutive samples: one call per
-        // tile, at the model's autotuned tile width.
-        let tiles = 6usize.div_ceil(model.plan().tile) as u64;
+        // tile, at the model's autotuned tile width capped so both workers
+        // get a unit.
+        let tiles = 6usize.div_ceil(model.plan().tile.min(3)) as u64;
         assert!(report.layer_timings.iter().all(|t| t.calls == tiles));
         assert_eq!(report.kernel.tiles, tiles);
         assert_eq!(report.kernel.tiled_images, 6);
@@ -925,15 +969,17 @@ mod tests {
             .collect();
         let direct = BatchEngine::new(1).unwrap().run(&model, &xs).unwrap();
         for workers in [1, 3] {
-            let engine = BatchEngine::new(workers)
-                .unwrap()
-                .with_chunk_size(1)
-                .unwrap();
-            let got = engine.run_ready(&model, &plain).unwrap();
-            for (i, out) in got.iter().enumerate() {
-                let out = out.as_ref().unwrap();
-                assert_eq!(out.logits, direct[i], "workers={workers} i={i}");
-                assert_eq!(out.effective_len, 256);
+            for tile in [1, 8] {
+                let engine = BatchEngine::new(workers)
+                    .unwrap()
+                    .with_tile_size(tile)
+                    .unwrap();
+                let got = engine.run_ready(&model, &plain).unwrap();
+                for (i, out) in got.iter().enumerate() {
+                    let out = out.as_ref().unwrap();
+                    assert_eq!(out.logits, direct[i], "workers={workers} tile={tile} i={i}");
+                    assert_eq!(out.effective_len, 256);
+                }
             }
         }
 
@@ -1048,9 +1094,11 @@ mod tests {
                     "workers={workers} tile={tile} i={i}"
                 );
             }
-            // 4 plain + 2 prefix requests form 3 tiles at width 2 and 2 at
+            // Units are `min(tile, ceil(7 / workers))` wide: the 4 plain
+            // and 2 prefix requests form 3 tiles at width 2 or 3 and 2 at
             // width 4; the adaptive request adds one tile of one per pass.
-            let fixed_tiles = if tile == 2 { 3 } else { 2 };
+            let width = tile.min(7usize.div_ceil(workers));
+            let fixed_tiles = (4usize.div_ceil(width) + 2usize.div_ceil(width)) as u64;
             assert_eq!(
                 counters.tiles,
                 fixed_tiles + adaptive_passes,
@@ -1122,15 +1170,17 @@ mod tests {
         xs[3] = Tensor::from_vec(&[1, 2, 2], vec![0.5; 4]).unwrap();
         xs[6] = Tensor::from_vec(&[1, 2, 2], vec![0.5; 4]).unwrap();
         for workers in [1, 4] {
-            let err = BatchEngine::new(workers)
-                .unwrap()
-                .with_chunk_size(1)
-                .unwrap()
-                .run(&model, &xs)
-                .unwrap_err();
-            match err {
-                RuntimeError::Image { index, .. } => assert_eq!(index, 3),
-                other => panic!("unexpected error: {other}"),
+            for tile in [1, 4] {
+                let err = BatchEngine::new(workers)
+                    .unwrap()
+                    .with_tile_size(tile)
+                    .unwrap()
+                    .run(&model, &xs)
+                    .unwrap_err();
+                match err {
+                    RuntimeError::Image { index, .. } => assert_eq!(index, 3),
+                    other => panic!("unexpected error: {other}"),
+                }
             }
         }
     }

@@ -27,7 +27,7 @@ use crate::{ExitPolicy, RuntimeError};
 /// seed.
 ///
 /// The derived seed is a pure function of `(base_seed, image_index)` —
-/// independent of worker count, chunking, and execution order — which is
+/// independent of worker count, tiling, and execution order — which is
 /// what makes batch results bit-identical regardless of parallelism
 /// (DESIGN.md §6's reproducibility invariant). SplitMix64 scrambles the
 /// pair so neighbouring indices get unrelated LFSR seedings.

@@ -32,16 +32,18 @@ fn logits_bit_identical_for_1_2_8_workers() {
 
     let reference = BatchEngine::new(1).unwrap().run(&model, &inputs).unwrap();
     for workers in [2usize, 8] {
-        let logits = BatchEngine::new(workers)
-            .unwrap()
-            .with_chunk_size(3)
-            .unwrap()
-            .run(&model, &inputs)
-            .unwrap();
-        assert_eq!(
-            reference, logits,
-            "{workers}-worker batch diverged from single-threaded"
-        );
+        for tile in [3usize, 64] {
+            let logits = BatchEngine::new(workers)
+                .unwrap()
+                .with_tile_size(tile)
+                .unwrap()
+                .run(&model, &inputs)
+                .unwrap();
+            assert_eq!(
+                reference, logits,
+                "{workers}-worker batch (tile {tile}) diverged from single-threaded"
+            );
+        }
     }
 }
 
@@ -85,15 +87,19 @@ fn report_is_consistent_across_worker_counts() {
         .unwrap()
         .evaluate(&model, &samples)
         .unwrap();
-    let parallel = BatchEngine::new(8)
-        .unwrap()
-        .with_chunk_size(1)
-        .unwrap()
-        .evaluate(&model, &samples)
-        .unwrap();
-    assert_eq!(serial.predictions, parallel.predictions);
-    assert_eq!(serial.confusion, parallel.confusion);
-    assert_eq!(serial.accuracy, parallel.accuracy);
+    for tile in [1usize, 64] {
+        let parallel = BatchEngine::new(8)
+            .unwrap()
+            .with_tile_size(tile)
+            .unwrap()
+            .evaluate(&model, &samples)
+            .unwrap();
+        assert_eq!(serial.predictions, parallel.predictions, "tile={tile}");
+        assert_eq!(serial.confusion, parallel.confusion, "tile={tile}");
+        assert_eq!(serial.accuracy, parallel.accuracy, "tile={tile}");
+        // Eight images on eight workers: one image per unit.
+        assert_eq!(parallel.kernel.tiles, 8, "tile={tile}");
+    }
     assert_eq!(serial.total, 8);
     assert_eq!(serial.classes, 10);
     let row_sum: u64 = serial.confusion.iter().flatten().sum();
@@ -119,17 +125,20 @@ fn worker_invariance_holds_across_datapath_config_matrix() {
                 };
                 let model = PreparedModel::compile(cfg, &net).expect("prepare");
                 let serial = BatchEngine::new(1).unwrap().run(&model, &inputs).unwrap();
-                let parallel = BatchEngine::new(4)
-                    .unwrap()
-                    .with_chunk_size(1)
-                    .unwrap()
-                    .run(&model, &inputs)
-                    .unwrap();
-                assert_eq!(
-                    serial, parallel,
-                    "worker divergence for or_group={or_group:?} \
-                     skip_pooling={skip_pooling} shared_act_rng={shared_act_rng}"
-                );
+                for tile in [1usize, 4] {
+                    let parallel = BatchEngine::new(4)
+                        .unwrap()
+                        .with_tile_size(tile)
+                        .unwrap()
+                        .run(&model, &inputs)
+                        .unwrap();
+                    assert_eq!(
+                        serial, parallel,
+                        "worker divergence for or_group={or_group:?} \
+                         skip_pooling={skip_pooling} shared_act_rng={shared_act_rng} \
+                         tile={tile}"
+                    );
+                }
                 for (i, x) in inputs.iter().enumerate() {
                     let single = model.logits(i as u64, x).unwrap();
                     assert_eq!(serial[i], single, "batch vs per-image drift at {i}");
@@ -157,10 +166,8 @@ fn worker_invariance_holds_with_exit_policy_enabled() {
             .unwrap();
         let serial = serial_engine.run(&model, &inputs).unwrap();
         let serial_report = serial_engine.evaluate(&model, &samples).unwrap();
-        for workers in [2usize, 8] {
+        for workers in [2usize, 3, 8] {
             let engine = BatchEngine::new(workers)
-                .unwrap()
-                .with_chunk_size(1)
                 .unwrap()
                 .with_exit_policy(policy)
                 .unwrap();
@@ -217,17 +224,20 @@ fn errors_are_deterministic_too() {
     inputs[2] = Tensor::zeros(&[1, 3, 3]);
     inputs[5] = Tensor::zeros(&[1, 3, 3]);
     for workers in [1usize, 2, 8] {
-        let err = BatchEngine::new(workers)
-            .unwrap()
-            .with_chunk_size(1)
-            .unwrap()
-            .run(&model, &inputs)
-            .unwrap_err();
-        match err {
-            RuntimeError::Image { index, .. } => {
-                assert_eq!(index, 2, "workers={workers} reported the wrong image")
+        for tile in [1usize, 3, 64] {
+            let err = BatchEngine::new(workers)
+                .unwrap()
+                .with_tile_size(tile)
+                .unwrap()
+                .run(&model, &inputs)
+                .unwrap_err();
+            match err {
+                RuntimeError::Image { index, .. } => assert_eq!(
+                    index, 2,
+                    "workers={workers} tile={tile} reported the wrong image"
+                ),
+                other => panic!("workers={workers} tile={tile}: unexpected error {other}"),
             }
-            other => panic!("workers={workers}: unexpected error {other}"),
         }
     }
 }
